@@ -182,12 +182,11 @@ int WriteReplicationReport(const std::string& path) {
 
   // Cold resync: checkpoint the primary (prunes epoch 0), then time a
   // fresh replica's snapshot install + drain.
-  Status checkpointed = primary.engine->WithExclusive(
-      [&primary](Database& live, ActiveDatabase& active) {
+  Status checkpointed =
+      primary.engine->WithExclusive([&primary](Database& live) {
         return primary.sink->WithQuiesced([&](Journal& journal) {
           return RecoveryManager::Checkpoint(
-              live, &journal, primary.dir + "/snapshot.tchdb", nullptr,
-              active.DefinitionStatements());
+              live, &journal, primary.dir + "/snapshot.tchdb");
         });
       });
   DrainPoint resync;

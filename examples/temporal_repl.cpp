@@ -16,10 +16,9 @@
 // sink quiesced. Without a directory argument the session is in-memory
 // only.
 //
-// The journal replay goes through the ActiveDatabase facade so journaled
-// `trigger` and `constraint` definitions are restored too; a checkpoint
-// persists them as the snapshot's DEFINE records (snapshot v3), which
-// recovery replays back through the facade.
+// `trigger` and `constraint` definitions are part of the database: they
+// are journaled like any mutation, a checkpoint persists them as the
+// snapshot's DEFINE records, and loading the snapshot installs them.
 //
 // Meta commands: .help .checkpoint .quit — everything else is TQL
 // (see src/query/parser.h for the grammar).
@@ -35,7 +34,6 @@
 #include "server/net.h"
 #include "storage/group_commit.h"
 #include "storage/recovery.h"
-#include "triggers/trigger.h"
 
 namespace {
 
@@ -113,18 +111,11 @@ int main(int argc, char** argv) {
   session.set_compile_enabled(compile_enabled);
   GroupCommitJournal sink;
   if (!journal_path.empty()) {
-    Status replayed = Status::OK();
-    for (const std::string& definition : recovery.snapshot_definitions()) {
-      replayed = session.Execute(definition).status();
-      if (!replayed.ok()) break;
-    }
-    if (replayed.ok()) {
-      replayed = recovery.ReplayJournals(
-          [&session](const std::string& statement) {
-            return session.Execute(statement).status();
-          },
-          &stats);
-    }
+    Status replayed = recovery.ReplayJournals(
+        [&session](const std::string& statement) {
+          return session.Execute(statement).status();
+        },
+        &stats);
     for (const std::string& note : stats.notes) {
       std::fprintf(stderr, "recovery: %s\n", note.c_str());
     }
@@ -176,14 +167,12 @@ int main(int argc, char** argv) {
       // sees a committed state and the journal rotates at a batch
       // boundary. Lock order (writer lock, then sink mutex) matches the
       // write path.
-      Status s = engine.WithExclusive(
-          [&](Database& live, tchimera::ActiveDatabase& active) {
-            return sink.WithQuiesced([&](tchimera::Journal& journal) {
-              return tchimera::RecoveryManager::Checkpoint(
-                  live, &journal, snapshot_path, nullptr,
-                  active.DefinitionStatements());
-            });
-          });
+      Status s = engine.WithExclusive([&](Database& live) {
+        return sink.WithQuiesced([&](tchimera::Journal& journal) {
+          return tchimera::RecoveryManager::Checkpoint(live, &journal,
+                                                       snapshot_path);
+        });
+      });
       std::printf("%s\n", s.ok() ? "checkpointed" : s.ToString().c_str());
       continue;
     }

@@ -65,6 +65,7 @@ Database::Database(const Database& other)
       objects_(other.objects_),
       index_defs_(other.index_defs_),
       index_shards_(other.index_shards_),
+      definitions_(other.definitions_),
       next_oid_(other.next_oid_),
       schema_version_(other.schema_version_) {
   // Both sides get fresh epochs: every structure the two copies now share
@@ -1073,6 +1074,7 @@ void Database::AdoptChanges(const Database& src, const WriteFootprint& fp) {
     objects_ = src.objects_;
     index_defs_ = src.index_defs_;
     index_shards_ = src.index_shards_;
+    definitions_ = src.definitions_;
     next_oid_ = src.next_oid_;
     // Fresh epochs on both sides (the same protocol as the copy
     // constructor): every adopted structure is now shared, so whichever

@@ -33,6 +33,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -44,6 +45,11 @@
 #include "core/values/typing.h"
 
 namespace tchimera {
+
+// The trigger and constraint definitions of a database state (the
+// Section 7 extension; defined in triggers/trigger.h, which core/ does
+// not include).
+struct DefinitionSet;
 
 // What a writer touched since the footprint was last taken — the unit of
 // commit-time validation for optimistic multi-writer concurrency
@@ -60,8 +66,9 @@ struct WriteFootprint {
   std::set<uint64_t> deleted_oids;
   // Classes cloned for mutation (extent splices, c-attribute updates).
   std::set<std::string> classes;
-  // Schema-shape changes (define/drop/restore): conflict with everything —
-  // they rewrite the ISA graph and class table spine.
+  // Schema-shape changes (define/drop/restore, index DDL, trigger and
+  // constraint definitions): conflict with everything — they rewrite the
+  // ISA graph, the class table spine or a definition set.
   bool schema_changed = false;
   // The clock moved. Journal replay re-runs statements in commit order,
   // so a clock move must serialize against every concurrent commit.
@@ -276,6 +283,21 @@ class Database final : public ExtentProvider {
   // tests assert.
   std::string DebugDumpIndexes() const;
 
+  // --- trigger and constraint definitions (triggers/trigger.h) -------------
+
+  // The immutable definition set; nullptr when nothing is defined. Shared
+  // by COW copies like index_defs_: a change installs a new set.
+  const DefinitionSet* definitions() const { return definitions_.get(); }
+  // Replaces the definition set wholesale and records a schema-shape
+  // footprint, so a definition change serializes against every
+  // concurrent commit (a writer that fired the older triggers must not
+  // commit after it). schema_version() is untouched: definitions never
+  // change a compiled read plan.
+  void SetDefinitions(std::shared_ptr<const DefinitionSet> definitions) {
+    definitions_ = std::move(definitions);
+    footprint_.schema_changed = true;
+  }
+
   // --- typing ----------------------------------------------------------------
 
   TypingContext typing_context() const { return {*this, *isa_}; }
@@ -396,6 +418,7 @@ class Database final : public ExtentProvider {
   std::shared_ptr<const std::map<std::string, IndexDef, std::less<>>>
       index_defs_;
   std::array<std::shared_ptr<IndexShard>, kObjectShardCount> index_shards_;
+  std::shared_ptr<const DefinitionSet> definitions_;  // see definitions()
   uint64_t next_oid_ = 1;
   uint64_t schema_version_ = 1;  // see schema_version()
   // Slots mutated since the last TakeFootprint(). Deliberately NOT copied

@@ -9,6 +9,7 @@
 #include "query/parser.h"
 #include "query/vm.h"
 #include "storage/journal.h"
+#include "triggers/trigger.h"
 
 namespace tchimera {
 namespace {
@@ -41,10 +42,10 @@ bool IsReadKind(Statement::Kind kind) {
   }
 }
 
-// The verbs that must run on the exclusive path: schema changes conflict
-// with every concurrent commit anyway (running them optimistically would
-// only burn a doomed copy), and trigger/constraint definitions mutate
-// engine-level registries, not the database copy a transaction owns.
+// The verbs that must run on the exclusive path: schema changes —
+// class DDL and trigger/constraint definitions alike record a
+// schema-level footprint — conflict with every concurrent commit anyway,
+// so running them optimistically would only burn a doomed copy.
 // `create index` joins them: the initial build scans every object shard,
 // so its footprint is schema-wide and an optimistic attempt is doomed
 // the moment any concurrent writer commits. (`drop index` is covered by
@@ -76,12 +77,6 @@ bool RequiresExclusiveWrite(std::string_view statement) {
 }
 
 }  // namespace
-
-bool IsDurableStatement(std::string_view statement) {
-  if (IsMutatingStatement(statement)) return true;
-  std::string token = FirstTokenLower(statement);
-  return token == "trigger" || token == "constraint";
-}
 
 // --- plan cache --------------------------------------------------------------
 
@@ -194,9 +189,7 @@ size_t PlanCache::size() const {
 }
 
 Engine::Engine(std::unique_ptr<Database> db, size_t max_cascade_depth)
-    : vdb_(std::move(db)),
-      active_(&vdb_.writer_db(), max_cascade_depth),
-      max_cascade_depth_(max_cascade_depth) {}
+    : vdb_(std::move(db)), max_cascade_depth_(max_cascade_depth) {}
 
 Session Engine::OpenSession() { return Session(this); }
 
@@ -227,19 +220,11 @@ uint64_t Engine::min_replicated_version() const {
   return any ? min_version : vdb_.version();
 }
 
-Status Engine::WithExclusive(
-    const std::function<Status(Database&, ActiveDatabase&)>& fn) {
+Status Engine::WithExclusive(const std::function<Status(Database&)>& fn) {
   WriteGuard guard = vdb_.BeginWrite();
-  Status status;
-  {
-    // `fn` may define triggers/constraints (recovery replay), which
-    // optimistic writers copy under defs_mu_. Lock order: writer lock
-    // (taken by BeginWrite above) before defs_mu_.
-    std::lock_guard<std::mutex> defs_lock(defs_mu_);
-    status = fn(guard.db(), active_);
-  }
-  // Republish on success: `fn` may have mutated the tip (definition
-  // replay, surgery), and snapshots only ever see published versions.
+  Status status = fn(guard.db());
+  // Republish on success: `fn` may have mutated the tip (surgery), and
+  // snapshots only ever see published versions.
   if (status.ok()) guard.Commit();
   return status;
 }
@@ -255,16 +240,7 @@ Result<std::string> Engine::ExecuteWrite(std::string_view statement,
   for (int attempt = 0; attempt < attempts; ++attempt) {
     // Lint only on the first attempt — retries re-execute the same text
     // and would only duplicate every finding.
-    bool needs_exclusive = false;
-    result = TryOptimisticWrite(statement, attempt == 0 ? lint : nullptr,
-                                &needs_exclusive);
-    if (needs_exclusive) {
-      // Not contention: the statement can only publish through the
-      // exclusive facade (a cascaded definition change). Retrying
-      // optimistically — ours or the client's — would loop forever, so
-      // the policy's fallback choice does not apply.
-      return ExecuteWriteExclusive(statement, nullptr);
-    }
+    result = TryOptimisticWrite(statement, attempt == 0 ? lint : nullptr);
     if (result.ok() || result.status().code() != StatusCode::kConflict) {
       return result;
     }
@@ -284,39 +260,17 @@ Result<std::string> Engine::ExecuteWrite(std::string_view statement,
 }
 
 Result<std::string> Engine::TryOptimisticWrite(std::string_view statement,
-                                               DiagnosticEngine* lint,
-                                               bool* needs_exclusive) {
+                                               DiagnosticEngine* lint) {
   OptimisticTransaction txn = vdb_.BeginTransaction();
-  // A per-transaction facade over the private copy: triggers fire and
+  // A facade over the private copy: the copy's triggers fire and its
   // constraints check against the transaction's own state, and their
   // mutations land in its write footprint like any others.
   ActiveDatabase facade(&txn.db(), max_cascade_depth_);
-  size_t copied_triggers;
-  size_t copied_constraints;
-  {
-    std::lock_guard<std::mutex> defs_lock(defs_mu_);
-    facade.CopyDefinitionsFrom(active_);
-    copied_triggers = facade.TriggerNames().size();
-    copied_constraints = facade.constraints().size();
-  }
   facade.set_lint(lint);
   Result<std::string> result = facade.Execute(statement);
-  facade.set_lint(nullptr);
   if (!result.ok()) return result;  // rejected before mutating anything
-  if (facade.TriggerNames().size() != copied_triggers ||
-      facade.constraints().size() != copied_constraints) {
-    // A cascaded trigger action defined or dropped a trigger/constraint.
-    // Those live in engine-level registries, which a per-transaction
-    // facade cannot publish — the exclusive path (whose facade IS the
-    // engine's) handles this. Flagged distinctly from a validation loss:
-    // no retry budget applies (retrying optimistically can never work).
-    *needs_exclusive = true;
-    return Status::Conflict(
-        "statement changed trigger/constraint definitions; retrying on "
-        "the exclusive path");
-  }
   CommitSink::Ticket ticket;
-  const bool durable = sink_ != nullptr && IsDurableStatement(statement);
+  const bool durable = sink_ != nullptr && IsMutatingStatement(statement);
   Result<uint64_t> committed = vdb_.CommitTransaction(
       &txn, [this, statement, durable, &ticket]() -> Status {
         // Runs under the writer mutex, after validation succeeded:
@@ -339,13 +293,9 @@ Result<std::string> Engine::TryOptimisticWrite(std::string_view statement,
 Result<std::string> Engine::ExecuteWriteExclusive(std::string_view statement,
                                                   DiagnosticEngine* lint) {
   WriteGuard guard = vdb_.BeginWrite();
-  // Definition verbs mutate active_'s registries; hold defs_mu_ so
-  // concurrent optimistic writers copy a consistent definition set.
-  std::unique_lock<std::mutex> defs_lock(defs_mu_);
-  active_.set_lint(lint);
-  Result<std::string> result = active_.Execute(statement);
-  active_.set_lint(nullptr);
-  defs_lock.unlock();
+  ActiveDatabase facade(&guard.db(), max_cascade_depth_);
+  facade.set_lint(lint);
+  Result<std::string> result = facade.Execute(statement);
   if (!result.ok()) return result;  // nothing mutated, nothing to publish
   // Enqueue before releasing the lock: writers are serialized, so the
   // sink receives statements in exactly commit order — replaying the
@@ -353,7 +303,7 @@ Result<std::string> Engine::ExecuteWriteExclusive(std::string_view statement,
   // buffer append; the expensive part (fdatasync) happens in Await,
   // outside the lock, where commits from concurrent sessions batch.
   CommitSink::Ticket ticket;
-  if (sink_ != nullptr && IsDurableStatement(statement)) {
+  if (sink_ != nullptr && IsMutatingStatement(statement)) {
     ticket = sink_->Enqueue(statement);
   }
   // Commit publishes the new version AND releases the writer lock (the

@@ -10,23 +10,24 @@
 //               the "one engine per lint run" contract
 //               (analysis/diagnostic.h) holds without locks.
 //   Engine    — wraps the database in a VersionedDatabase (MVCC: reads
-//               are lock-free loads of the published version) and owns
-//               the ActiveDatabase facade (triggers, constraints,
-//               `check`). Writes run optimistically by default: the
-//               statement executes against a private OptimisticTransaction
-//               copy with no lock held, then CommitTransaction validates
-//               its write footprint against concurrently committed
-//               versions and — inside the only serialized span —
-//               enqueues the statement with the CommitSink (so journal
-//               order == commit order) and publishes. A validation loss
-//               (Status::Conflict) is retried a bounded number of times
-//               against a fresh base; persistent losers fall back to
-//               the exclusive WriteGuard path, which also serves the
-//               schema-level verbs (define / drop / trigger /
-//               constraint) outright. Durability is awaited after the
-//               lock is released — the group-commit window: many
-//               sessions can be between enqueue and durable at once,
-//               and one fdatasync acknowledges them all.
+//               are lock-free loads of the published version) and runs
+//               every write through an ActiveDatabase facade over the
+//               copy it writes (triggers, constraints, `check`; the
+//               definitions are part of the database). Writes run
+//               optimistically by default: the statement executes
+//               against a private OptimisticTransaction copy with no
+//               lock held, then CommitTransaction validates its write
+//               footprint against concurrently committed versions and —
+//               inside the only serialized span — enqueues the statement
+//               with the CommitSink (so journal order == commit order)
+//               and publishes. A validation loss (Status::Conflict) is
+//               retried a bounded number of times against a fresh base;
+//               persistent losers fall back to the exclusive WriteGuard
+//               path, which also serves the schema-level verbs (define /
+//               drop / trigger / constraint) outright. Durability is
+//               awaited after the lock is released — the group-commit
+//               window: many sessions can be between enqueue and
+//               durable at once, and one fdatasync acknowledges them all.
 //   CommitSink — the durability boundary. storage/group_commit.h is the
 //               real implementation (cross-session group commit); a null
 //               sink (in-memory engines) acknowledges immediately.
@@ -53,7 +54,6 @@
 #include "common/result.h"
 #include "core/db/versioned_db.h"
 #include "query/lower.h"
-#include "triggers/trigger.h"
 
 namespace tchimera {
 
@@ -109,11 +109,6 @@ class PlanCache {
   Stats stats_;
 };
 
-// True for the statements the engine must hand to its CommitSink: the
-// journaled verbs (IsMutatingStatement) plus the trigger / constraint
-// definition forms the ActiveDatabase facade accepts.
-bool IsDurableStatement(std::string_view statement);
-
 // Where committed statements go to become durable. Enqueue is called by
 // the engine while it still holds the writer lock (cheap: buffer the
 // statement, assign a ticket); Await is called after the lock is
@@ -146,8 +141,8 @@ struct WriteRetryPolicy {
   // What "giving up" means: true = fall back to the exclusive writer
   // lock (progress is guaranteed even when every writer touches the same
   // slot); false = surface the final kConflict to the caller, who owns
-  // the retry. Statements that *require* the exclusive path (DDL,
-  // definition-changing cascades) always take it, whatever this says.
+  // the retry. Statements that *require* the exclusive path (schema and
+  // definition verbs) always take it, whatever this says.
   bool exclusive_fallback = true;
 };
 
@@ -224,16 +219,13 @@ class Engine {
   // Runs `fn` with the writer lock held (no concurrent writer; readers
   // keep their pinned versions, which is all a checkpoint needs — the
   // tip equals the last committed state). On success the tip is
-  // republished, so any mutation `fn` made becomes visible. The
-  // ActiveDatabase gives access to DefinitionStatements().
-  Status WithExclusive(
-      const std::function<Status(Database&, ActiveDatabase&)>& fn);
+  // republished, so any mutation `fn` made becomes visible.
+  Status WithExclusive(const std::function<Status(Database&)>& fn);
 
-  // The underlying database / facade, bypassing all locking. Strictly
-  // for single-threaded phases: recovery replay before sessions exist,
-  // test setup, teardown inspection.
+  // The underlying database, bypassing all locking. Strictly for
+  // single-threaded phases: recovery replay before sessions exist, test
+  // setup, teardown inspection.
   Database& writer_db() { return vdb_.writer_db(); }
-  ActiveDatabase& active() { return active_; }
 
   // Optimistic commits that lost validation and were retried (includes
   // attempts that later succeeded). Tests and bench read this.
@@ -266,13 +258,9 @@ class Engine {
                                    DiagnosticEngine* lint,
                                    const WriteRetryPolicy& policy);
   // One optimistic attempt: execute on a private transaction copy, then
-  // validate+publish. Status::Conflict means "lost the race, retry" —
-  // except when `*needs_exclusive` is set: the statement did something
-  // only the exclusive path can publish (definition-changing cascade),
-  // so no number of optimistic retries can ever succeed.
+  // validate+publish. Status::Conflict means "lost the race, retry".
   Result<std::string> TryOptimisticWrite(std::string_view statement,
-                                         DiagnosticEngine* lint,
-                                         bool* needs_exclusive);
+                                         DiagnosticEngine* lint);
   // The serialized fallback: writer lock held across execute + enqueue +
   // publish. Also the only path for schema/definition verbs.
   Result<std::string> ExecuteWriteExclusive(std::string_view statement,
@@ -285,11 +273,6 @@ class Engine {
   mutable std::vector<std::weak_ptr<ReplicaLease>> replicas_;
 
   VersionedDatabase vdb_;
-  ActiveDatabase active_;
-  // Guards active_'s trigger/constraint definitions: optimistic writers
-  // copy them into per-transaction facades without holding the writer
-  // lock. Lock order: writer_mu_ (inside vdb_) before defs_mu_.
-  std::mutex defs_mu_;
   size_t max_cascade_depth_;
   CommitSink* sink_ = nullptr;
   PlanCache plan_cache_;

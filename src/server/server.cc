@@ -18,6 +18,7 @@
 #include "query/session.h"
 #include "server/net.h"
 #include "server/wire.h"
+#include "storage/journal.h"
 
 namespace tchimera {
 namespace {
@@ -199,7 +200,7 @@ struct Server::Impl {
     }
     // ...and a saturated group-commit pipeline rejects statements that
     // would join it (reads still flow: they never touch the sink).
-    if (opts.commit_backlog && IsDurableStatement(statement) &&
+    if (opts.commit_backlog && IsMutatingStatement(statement) &&
         opts.commit_backlog() > opts.max_commit_backlog) {
       stats->admission_rejections.fetch_add(1, std::memory_order_relaxed);
       std::string frame;

@@ -10,6 +10,7 @@
 #include "core/types/type_registry.h"
 #include "core/values/temporal_function.h"
 #include "core/values/value_parser.h"
+#include "triggers/trigger.h"
 
 namespace tchimera {
 namespace {
@@ -63,9 +64,13 @@ class SnapshotReader {
         ++records;
         TCH_RETURN_IF_ERROR(LoadObject(rest, db.get()));
       } else if (tag == "DEFINE" && version_ >= 3) {
-        // Carried, not applied: trigger/constraint statements address the
-        // execution facade, which the reader has no access to.
-        definitions_.push_back(rest);
+        // A trigger / constraint definition, installed into the database
+        // in record order (DEFINE follows every CLASS and OBJECT record).
+        Result<std::string> defined = ActiveDatabase(db.get()).Define(rest);
+        if (!defined.ok()) {
+          return Corrupt(line_no_, "bad definition: " +
+                                       defined.status().message());
+        }
       } else if (tag == "INDEX" && version_ >= 4) {
         // Applied immediately: INDEX records follow every CLASS and
         // OBJECT record, so CreateIndex validates against the restored
@@ -80,10 +85,6 @@ class SnapshotReader {
     db->RestoreClock(now);
     db->RestoreNextOid(next_oid);
     return db;
-  }
-
-  std::vector<std::string> take_definitions() {
-    return std::move(definitions_);
   }
 
  private:
@@ -293,7 +294,6 @@ class SnapshotReader {
   std::istream* in_;
   int version_;
   size_t line_no_ = 0;
-  std::vector<std::string> definitions_;
 };
 
 // Returns the first line of `text` (without the newline).
@@ -410,21 +410,13 @@ Result<std::unique_ptr<Database>> LoadDatabaseFromFile(
 
 Result<std::unique_ptr<Database>> LoadDatabaseFromString(
     const std::string& text) {
-  TCH_ASSIGN_OR_RETURN(LoadedSnapshot loaded, LoadSnapshotFromString(text));
-  return std::move(loaded.db);
-}
-
-Result<LoadedSnapshot> LoadSnapshotFromString(const std::string& text) {
   TCH_ASSIGN_OR_RETURN(SnapshotInfo info, ProbeSnapshot(text));
   // Integrity failures (bad header, truncation, checksum mismatch) are
   // surfaced before any database state is built.
   TCH_RETURN_IF_ERROR(info.integrity);
   std::istringstream in(text);
   SnapshotReader reader(&in, info.version);
-  LoadedSnapshot loaded;
-  TCH_ASSIGN_OR_RETURN(loaded.db, reader.Load());
-  loaded.definitions = reader.take_definitions();
-  return loaded;
+  return reader.Load();
 }
 
 }  // namespace tchimera

@@ -6,7 +6,6 @@
 #include <istream>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/fault_fs.h"
 #include "common/result.h"
@@ -16,7 +15,7 @@ namespace tchimera {
 
 // Structural metadata of a snapshot, read without parsing any record.
 struct SnapshotInfo {
-  int version = 0;      // 1, 2 or 3
+  int version = 0;      // 1 to 4
   uint64_t epoch = 0;   // v2+ only; v1 snapshots are epoch 0
   size_t records = 0;   // CLASS+OBJECT count from the v2+ footer
   uint64_t byte_size = 0;
@@ -35,25 +34,14 @@ Result<SnapshotInfo> ProbeSnapshotFile(const std::string& path,
 
 // Parses a snapshot; fails with Corruption on any malformed record. A v2+
 // snapshot is checksum-verified up front, so corruption is rejected
-// before any state is built. These drop any v3 DEFINE records; callers
-// that need them use LoadSnapshotFromString below.
+// before any state is built. v3+ DEFINE records are installed as the
+// database's trigger / constraint definitions (triggers/trigger.h), so
+// the loaded database fires and checks them like the one that was saved.
 Result<std::unique_ptr<Database>> LoadDatabase(std::istream* in);
 Result<std::unique_ptr<Database>> LoadDatabaseFromFile(
     const std::string& path);
 Result<std::unique_ptr<Database>> LoadDatabaseFromString(
     const std::string& text);
-
-// A fully parsed snapshot: the database plus the v3 DEFINE statements
-// (trigger / constraint declarations) in snapshot order, empty for
-// v1/v2. The definitions are NOT applied — they address the execution
-// facade (ActiveDatabase), not the Database; replay them through it
-// after restoring (see RecoveryManager::LoadSnapshot).
-struct LoadedSnapshot {
-  std::unique_ptr<Database> db;
-  std::vector<std::string> definitions;
-};
-
-Result<LoadedSnapshot> LoadSnapshotFromString(const std::string& text);
 
 }  // namespace tchimera
 

@@ -110,8 +110,9 @@ std::string FirstTokenLower(std::string_view statement) {
 
 bool IsMutatingStatement(std::string_view statement) {
   std::string token = FirstTokenLower(statement);
-  for (std::string_view kw : {"define", "drop", "create", "update",
-                              "migrate", "delete", "tick", "advance"}) {
+  for (std::string_view kw :
+       {"define", "drop", "create", "update", "migrate", "delete", "tick",
+        "advance", "trigger", "constraint"}) {
     if (token == kw) return true;
   }
   return false;

@@ -46,15 +46,14 @@
 namespace tchimera {
 
 // True when the statement's first whitespace-delimited token is exactly
-// one of the mutating TQL verbs (define, drop, create, update, migrate,
-// delete, tick, advance) — the statements a write-ahead journal must
-// capture. Matching is token-exact: `deletion_report ...` or `ticket ...`
-// are not mutations.
+// one of the mutating verbs (define, drop, create, update, migrate,
+// delete, tick, advance, and the trigger / constraint definition forms)
+// — the one list of statements a write-ahead journal must capture.
+// Matching is token-exact: `deletion_report ...` or `ticket ...` are not
+// mutations.
 bool IsMutatingStatement(std::string_view statement);
 
-// The first whitespace-delimited token of `statement`, lowercased
-// (callers with extra journaled verbs — the REPL journals `trigger` and
-// `constraint` definitions — compare against it directly).
+// The first whitespace-delimited token of `statement`, lowercased.
 std::string FirstTokenLower(std::string_view statement);
 
 enum class SyncPolicy {
@@ -265,7 +264,8 @@ class Journal {
 // the log contains exactly the statements that applied cleanly (replay
 // failures are then always corruption). Callers are acknowledged only
 // after the append returns, so an acknowledged statement is durable per
-// the journal's sync policy.
+// the journal's sync policy. The bare interpreter rejects the trigger /
+// constraint definition forms, so those never reach this journal.
 class JournaledDatabase {
  public:
   explicit JournaledDatabase(const std::string& journal_path,

@@ -6,6 +6,7 @@
 #include "core/db/consistency.h"
 #include "storage/deserializer.h"
 #include "storage/serializer.h"
+#include "triggers/trigger.h"
 
 namespace tchimera {
 namespace {
@@ -55,7 +56,6 @@ FileSystem* RecoveryManager::fs() const {
 Result<std::unique_ptr<Database>> RecoveryManager::LoadSnapshot(
     RecoveryStats* stats) {
   snapshot_epoch_ = 0;
-  snapshot_definitions_.clear();
   // A leftover tmp file is a checkpoint that died before its rename; the
   // real snapshot is intact, the tmp is garbage.
   std::string tmp = snapshot_path_ + ".tmp";
@@ -74,21 +74,16 @@ Result<std::unique_ptr<Database>> RecoveryManager::LoadSnapshot(
   // Snapshot writes are atomic, so a failed integrity check is bit rot,
   // not a crash artifact — refuse to build any state from it.
   TCH_RETURN_IF_ERROR(info.integrity);
-  TCH_ASSIGN_OR_RETURN(LoadedSnapshot loaded, LoadSnapshotFromString(text));
+  TCH_ASSIGN_OR_RETURN(std::unique_ptr<Database> db,
+                       LoadDatabaseFromString(text));
   snapshot_epoch_ = info.epoch;
-  snapshot_definitions_ = std::move(loaded.definitions);
   if (stats != nullptr) {
     stats->snapshot_loaded = true;
     stats->snapshot_epoch = info.epoch;
   }
   Note(stats, "loaded v" + std::to_string(info.version) +
                   " snapshot at epoch " + std::to_string(info.epoch));
-  if (!snapshot_definitions_.empty()) {
-    Note(stats, "snapshot carries " +
-                    std::to_string(snapshot_definitions_.size()) +
-                    " definition statement(s)");
-  }
-  return std::move(loaded.db);
+  return db;
 }
 
 Status RecoveryManager::ReplayJournals(const StatementExecutor& exec,
@@ -250,19 +245,10 @@ Status RecoveryManager::Audit(Database* db, AuditMode mode,
 Result<std::unique_ptr<Database>> RecoveryManager::Recover(
     RecoveryStats* stats) {
   TCH_ASSIGN_OR_RETURN(std::unique_ptr<Database> db, LoadSnapshot(stats));
-  if (!snapshot_definitions_.empty()) {
-    // A plain Interpreter cannot execute trigger/constraint definitions;
-    // they are harmless to skip for state reconstruction (they guard
-    // future mutations, and replay re-applies journaled effects as-is).
-    Note(stats, "skipping " +
-                    std::to_string(snapshot_definitions_.size()) +
-                    " definition statement(s); use the phase API with an "
-                    "ActiveDatabase to restore them");
-  }
-  Interpreter interp(db.get());
+  ActiveDatabase active(db.get());
   TCH_RETURN_IF_ERROR(ReplayJournals(
-      [&interp](const std::string& statement) {
-        return interp.Execute(statement).status();
+      [&active](const std::string& statement) {
+        return active.Execute(statement).status();
       },
       stats));
   TCH_RETURN_IF_ERROR(Audit(db.get(), options_.audit, stats));
@@ -271,8 +257,7 @@ Result<std::unique_ptr<Database>> RecoveryManager::Recover(
 
 Status RecoveryManager::Checkpoint(const Database& db, Journal* journal,
                                    const std::string& snapshot_path,
-                                   FileSystem* fs,
-                                   const std::vector<std::string>& definitions) {
+                                   FileSystem* fs) {
   if (fs == nullptr) fs = FileSystem::Default();
   if (journal == nullptr || !journal->is_open()) {
     return Status::FailedPrecondition("checkpoint requires an open journal");
@@ -284,8 +269,7 @@ Status RecoveryManager::Checkpoint(const Database& db, Journal* journal,
   (void)rotated;
   // Step 2: the snapshot, stamped with the new epoch, lands atomically.
   uint64_t epoch = journal->epoch();
-  TCH_RETURN_IF_ERROR(
-      SaveDatabaseToFile(db, snapshot_path, epoch, fs, definitions));
+  TCH_RETURN_IF_ERROR(SaveDatabaseToFile(db, snapshot_path, epoch, fs));
   // Step 3: only now are the older journals redundant. Oldest first, so a
   // crash mid-loop leaves a contiguous (stale) tail for recovery to
   // finish deleting.

@@ -18,10 +18,11 @@
 //
 // Recovery inverts the protocol:
 //
-//   1. Load the snapshot (epoch S). A v2 snapshot is checksum-verified
-//      before any state is built; corruption fails recovery (the snapshot
-//      write is atomic, so a bad snapshot is bit rot, not a crash
-//      artifact). A leftover `<snapshot>.tmp` is deleted.
+//   1. Load the snapshot (epoch S), trigger and constraint definitions
+//      included. A v2 snapshot is checksum-verified before any state is
+//      built; corruption fails recovery (the snapshot write is atomic, so
+//      a bad snapshot is bit rot, not a crash artifact). A leftover
+//      `<snapshot>.tmp` is deleted.
 //   2. Delete rotated journals with epoch < S (covered by the snapshot),
 //      then replay the remaining rotated journals in epoch order followed
 //      by the live journal (iff its epoch >= S). Torn v2 tails are
@@ -88,40 +89,30 @@ class RecoveryManager {
                   RecoveryOptions options = {});
 
   // Full recovery: snapshot, journal replay through a private
-  // interpreter, audit. On failure the disk may already be partially
-  // repaired (salvaged tails, deleted stale files) — both are
+  // trigger-firing executor (triggers/trigger.h — journaled trigger and
+  // constraint definitions are restored and fire like they did live),
+  // audit. On failure the disk may already be partially repaired
+  // (salvaged tails, deleted stale files) — both are
   // information-preserving — but no half-recovered database escapes.
   Result<std::unique_ptr<Database>> Recover(RecoveryStats* stats = nullptr);
 
-  // Phase API for embedders that replay through their own facade (the
-  // REPL uses ActiveDatabase so journaled trigger/constraint definitions
-  // are restored too). Call in order: LoadSnapshot, replay
-  // snapshot_definitions() through the facade, ReplayJournals with an
-  // executor bound to the returned database, then Audit.
+  // Phase API for embedders that replay through their own executor (the
+  // REPL and server replay through an Engine session). Call in order:
+  // LoadSnapshot (which installs the snapshot's definitions),
+  // ReplayJournals with an executor bound to the returned database,
+  // then Audit.
   Result<std::unique_ptr<Database>> LoadSnapshot(RecoveryStats* stats);
   Status ReplayJournals(const StatementExecutor& exec, RecoveryStats* stats);
   static Status Audit(Database* db, AuditMode mode, RecoveryStats* stats);
 
-  // The v3 snapshot's DEFINE statements (trigger / constraint
-  // declarations), in snapshot order; filled by LoadSnapshot, empty for
-  // v1/v2 snapshots. They address the execution facade, so LoadSnapshot
-  // cannot apply them itself — phase-API callers replay them through
-  // their ActiveDatabase before ReplayJournals; Recover() (which has no
-  // facade) notes and skips them.
-  const std::vector<std::string>& snapshot_definitions() const {
-    return snapshot_definitions_;
-  }
-
   // The checkpoint protocol above. `fs` must be the same filesystem the
   // journal writes through (nullptr = FileSystem::Default()). On failure
   // the disk remains recoverable: rotated journals are deleted only after
-  // the new snapshot is durable. `definitions` (typically
-  // ActiveDatabase::DefinitionStatements()) are persisted as the
+  // the new snapshot is durable. The database's definitions become the
   // snapshot's DEFINE records.
   static Status Checkpoint(const Database& db, Journal* journal,
                            const std::string& snapshot_path,
-                           FileSystem* fs = nullptr,
-                           const std::vector<std::string>& definitions = {});
+                           FileSystem* fs = nullptr);
 
  private:
   FileSystem* fs() const;
@@ -130,7 +121,6 @@ class RecoveryManager {
   std::string journal_path_;
   RecoveryOptions options_;
   uint64_t snapshot_epoch_ = 0;  // set by LoadSnapshot
-  std::vector<std::string> snapshot_definitions_;  // set by LoadSnapshot
 };
 
 }  // namespace tchimera

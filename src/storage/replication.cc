@@ -7,6 +7,7 @@
 #include "common/crc32.h"
 #include "storage/deserializer.h"
 #include "storage/serializer.h"
+#include "triggers/trigger.h"
 
 namespace tchimera {
 namespace {
@@ -20,11 +21,13 @@ std::string FramedPayload(uint64_t seq, std::string_view statement) {
   return payload;
 }
 
-Status ExecuteViaEngine(Engine* engine, const std::string& statement) {
-  return engine->WithExclusive(
-      [&statement](Database&, ActiveDatabase& active) {
-        return active.Execute(statement).status();
-      });
+Status ExecuteViaEngine(Engine* engine, size_t max_cascade_depth,
+                        const std::string& statement) {
+  return engine->WithExclusive([&](Database& live) {
+    return ActiveDatabase(&live, max_cascade_depth)
+        .Execute(statement)
+        .status();
+  });
 }
 
 }  // namespace
@@ -354,12 +357,10 @@ Status Replica::RecoverLocal() {
   if (!db.ok()) return db.status();
   engine_ = std::make_unique<Engine>(std::move(db.value()),
                                      options_.max_cascade_depth);
-  for (const std::string& definition : manager.snapshot_definitions()) {
-    TCH_RETURN_IF_ERROR(ExecuteViaEngine(engine_.get(), definition));
-  }
   TCH_RETURN_IF_ERROR(manager.ReplayJournals(
       [this](const std::string& statement) {
-        return ExecuteViaEngine(engine_.get(), statement);
+        return ExecuteViaEngine(engine_.get(), options_.max_cascade_depth,
+                                statement);
       },
       &stats));
   TCH_RETURN_IF_ERROR(
@@ -408,7 +409,8 @@ Status Replica::Apply(const ReplicationBatch& batch) {
     // The local journal assigns exactly record.seq: cursor_.next_seq ==
     // journal_.last_seq() + 1 is a class invariant.
     TCH_RETURN_IF_ERROR(journal_.Append(record.statement));
-    Status applied = ExecuteViaEngine(engine_.get(), record.statement);
+    Status applied = ExecuteViaEngine(
+        engine_.get(), options_.max_cascade_depth, record.statement);
     if (!applied.ok()) {
       // The primary executed this statement successfully, so a replay
       // failure means the replica's state diverged. Not retryable as-is;
@@ -430,12 +432,10 @@ Status Replica::Apply(const ReplicationBatch& batch) {
     // local journal to the incoming epoch, persist a snapshot covering
     // everything applied, prune covered epochs. Keeps the replica
     // directory bounded and its recovery cheap.
-    TCH_RETURN_IF_ERROR(engine_->WithExclusive(
-        [this](Database& live, ActiveDatabase& active) {
-          return RecoveryManager::Checkpoint(live, &journal_,
-                                             snapshot_path(), fs(),
-                                             active.DefinitionStatements());
-        }));
+    TCH_RETURN_IF_ERROR(engine_->WithExclusive([this](Database& live) {
+      return RecoveryManager::Checkpoint(live, &journal_, snapshot_path(),
+                                         fs());
+    }));
     cursor_.epoch += 1;
     cursor_.next_seq = 1;
     cursor_.offset_hint = 0;
@@ -473,8 +473,8 @@ Status Replica::InstallCheckpoint(
   }
   // Parse before destroying anything: a bad image must leave the replica
   // untouched.
-  TCH_ASSIGN_OR_RETURN(LoadedSnapshot loaded,
-                       LoadSnapshotFromString(image.bytes));
+  TCH_ASSIGN_OR_RETURN(std::unique_ptr<Database> db,
+                       LoadDatabaseFromString(image.bytes));
   journal_.Close();
   TCH_RETURN_IF_ERROR(RemoveLocalJournals());
   // Persist the image atomically (tmp + sync + durable rename), exactly
@@ -490,11 +490,8 @@ Status Replica::InstallCheckpoint(
   }
   TCH_RETURN_IF_ERROR(fs()->RenameFile(tmp, snapshot_path()));
 
-  engine_ = std::make_unique<Engine>(std::move(loaded.db),
-                                     options_.max_cascade_depth);
-  for (const std::string& definition : loaded.definitions) {
-    TCH_RETURN_IF_ERROR(ExecuteViaEngine(engine_.get(), definition));
-  }
+  engine_ =
+      std::make_unique<Engine>(std::move(db), options_.max_cascade_depth);
   JournalOptions jopts;
   jopts.sync = SyncPolicy::kNone;
   jopts.epoch = image.epoch;
@@ -518,12 +515,10 @@ Result<Replica::Promotion> Replica::Promote(EpochFence* fence) {
   // written: every authority token it holds is <= the epochs it shipped
   // us, all <= cursor_.epoch. The checkpoint also persists everything
   // applied, so the new primary starts from a clean, covered state.
-  TCH_RETURN_IF_ERROR(engine_->WithExclusive(
-      [this](Database& live, ActiveDatabase& active) {
-        return RecoveryManager::Checkpoint(live, &journal_, snapshot_path(),
-                                           fs(),
-                                           active.DefinitionStatements());
-      }));
+  TCH_RETURN_IF_ERROR(engine_->WithExclusive([this](Database& live) {
+    return RecoveryManager::Checkpoint(live, &journal_, snapshot_path(),
+                                       fs());
+  }));
   Promotion promotion;
   promotion.epoch = journal_.epoch();  // cursor_.epoch + 1 after the rotate
   promotion.token = promotion.epoch;

@@ -7,6 +7,7 @@
 #include "common/crc32.h"
 #include "common/string_util.h"
 #include "core/values/temporal_function.h"
+#include "triggers/trigger.h"
 
 namespace tchimera {
 namespace {
@@ -71,9 +72,7 @@ void WriteObject(const Object& obj, std::ostream* out) {
 // Writes header through NEXT-OID (everything the footer checksums) and
 // reports the CLASS+OBJECT record count.
 Status SaveDatabaseBody(const Database& db, std::ostream* out,
-                        uint64_t epoch,
-                        const std::vector<std::string>& definitions,
-                        size_t* records) {
+                        uint64_t epoch, size_t* records) {
   *out << "TCHIMERA-SNAPSHOT 4\n";
   *out << "EPOCH " << epoch << "\n";
   *out << "NOW " << db.now() << "\n";
@@ -116,12 +115,14 @@ Status SaveDatabaseBody(const Database& db, std::ostream* out,
   // DEFINE records after all schema/objects (a trigger or constraint may
   // reference any class), inside the checksummed body; excluded from the
   // footer's record count, which stays CLASS+OBJECT for v2 parity.
-  for (const std::string& stmt : definitions) {
-    if (stmt.find('\n') != std::string::npos) {
-      return Status::InvalidArgument(
-          "definition statement contains a newline");
+  if (db.definitions() != nullptr) {
+    for (const std::string& stmt : db.definitions()->Statements()) {
+      if (stmt.find('\n') != std::string::npos) {
+        return Status::InvalidArgument(
+            "definition statement contains a newline");
+      }
+      *out << "DEFINE " << stmt << "\n";
     }
-    *out << "DEFINE " << stmt << "\n";
   }
   // v4: index definitions, after classes and objects (CreateIndex on
   // restore validates against the loaded schema and rebuilds from the
@@ -143,15 +144,13 @@ Status SaveDatabaseBody(const Database& db, std::ostream* out,
 
 }  // namespace
 
-Status SaveDatabase(const Database& db, std::ostream* out, uint64_t epoch,
-                    const std::vector<std::string>& definitions) {
+Status SaveDatabase(const Database& db, std::ostream* out, uint64_t epoch) {
   // The footer checksums every byte above it, so the body is staged in
   // memory first (snapshots are line-oriented text; the whole database
   // already round-trips through strings in tests and benches).
   std::ostringstream body;
   size_t records = 0;
-  TCH_RETURN_IF_ERROR(
-      SaveDatabaseBody(db, &body, epoch, definitions, &records));
+  TCH_RETURN_IF_ERROR(SaveDatabaseBody(db, &body, epoch, &records));
   std::string text = body.str();
   *out << text << "CHECKSUM " << records << " " << Crc32Hex(Crc32(text))
        << "\nEOF\n";
@@ -160,11 +159,9 @@ Status SaveDatabase(const Database& db, std::ostream* out, uint64_t epoch,
 }
 
 Status SaveDatabaseToFile(const Database& db, const std::string& path,
-                          uint64_t epoch, FileSystem* fs,
-                          const std::vector<std::string>& definitions) {
+                          uint64_t epoch, FileSystem* fs) {
   if (fs == nullptr) fs = FileSystem::Default();
-  TCH_ASSIGN_OR_RETURN(std::string text,
-                       SaveDatabaseToString(db, epoch, definitions));
+  TCH_ASSIGN_OR_RETURN(std::string text, SaveDatabaseToString(db, epoch));
   std::string tmp = path + ".tmp";
   {
     TCH_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> out,
@@ -178,20 +175,18 @@ Status SaveDatabaseToFile(const Database& db, const std::string& path,
   return fs->RenameFile(tmp, path);
 }
 
-Result<std::string> SaveDatabaseToString(
-    const Database& db, uint64_t epoch,
-    const std::vector<std::string>& definitions) {
+Result<std::string> SaveDatabaseToString(const Database& db,
+                                         uint64_t epoch) {
   std::ostringstream out;
-  TCH_RETURN_IF_ERROR(SaveDatabase(db, &out, epoch, definitions));
+  TCH_RETURN_IF_ERROR(SaveDatabase(db, &out, epoch));
   return out.str();
 }
 
-Result<uint32_t> DatabaseStateHash(
-    const Database& db, const std::vector<std::string>& definitions) {
+Result<uint32_t> DatabaseStateHash(const Database& db) {
   // Epoch 0 on purpose: the hash compares logical state across nodes
   // whose checkpoint cadence (and hence epoch counter) differs.
   TCH_ASSIGN_OR_RETURN(std::string text,
-                       SaveDatabaseToString(db, /*epoch=*/0, definitions));
+                       SaveDatabaseToString(db, /*epoch=*/0));
   return Crc32(text);
 }
 

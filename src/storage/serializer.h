@@ -37,11 +37,11 @@
 // still load). EPOCH orders the snapshot against journals: it contains
 // the effects of every journal with epoch < e (see storage/recovery.h).
 //
-// v3 adds DEFINE records: caller-supplied definition statements (the
-// ActiveDatabase's `trigger` / `constraint` declarations, which live
-// outside the Database proper) carried verbatim, one per line, inside the
-// checksummed body. They are replayed through the execution facade on
-// restore; the record count in the footer stays CLASS+OBJECT only.
+// v3 adds DEFINE records: the database's trigger / constraint
+// definitions (triggers/trigger.h), triggers in definition order then
+// constraints, one re-parseable statement per line inside the
+// checksummed body. Restore installs them into the loaded database; the
+// record count in the footer stays CLASS+OBJECT only.
 //
 // v4 adds INDEX records: temporal secondary index definitions (name,
 // kind, class, attribute) written after DEFINE. Only the definition is
@@ -57,7 +57,6 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "common/fault_fs.h"
 #include "common/status.h"
@@ -65,34 +64,29 @@
 
 namespace tchimera {
 
-// Writes a full v4 snapshot of `db` (footer included). `definitions` are
-// extra statements (trigger / constraint declarations) emitted as DEFINE
-// records; each must be newline-free (statements always are — string
-// literals escape newlines) or InvalidArgument is returned.
+// Writes a full v4 snapshot of `db` (footer included). A definition
+// statement containing a newline (a trigger action written across lines)
+// cannot be a DEFINE record and fails with InvalidArgument.
 Status SaveDatabase(const Database& db, std::ostream* out,
-                    uint64_t epoch = 0,
-                    const std::vector<std::string>& definitions = {});
+                    uint64_t epoch = 0);
 // Convenience: snapshot to a file, atomically and durably — the bytes are
 // written to `<path>.tmp`, fsynced, renamed over `path`, and the parent
 // directory fsynced; a crash at any point leaves either the old snapshot
 // or the new one, never a torn file.
 Status SaveDatabaseToFile(const Database& db, const std::string& path,
-                          uint64_t epoch = 0, FileSystem* fs = nullptr,
-                          const std::vector<std::string>& definitions = {});
+                          uint64_t epoch = 0, FileSystem* fs = nullptr);
 // Snapshot into a string (tests, benchmarks).
-Result<std::string> SaveDatabaseToString(
-    const Database& db, uint64_t epoch = 0,
-    const std::vector<std::string>& definitions = {});
+Result<std::string> SaveDatabaseToString(const Database& db,
+                                         uint64_t epoch = 0);
 
 // A content hash of the full logical state (schema, extents, objects,
-// histories, clock, oid counter, plus `definitions`): CRC32 over the
-// canonical snapshot serialization at epoch 0, so the epoch a node
-// happens to be at never perturbs the hash. Two databases hash equal iff
-// they serialize identically — the equality check replication uses to
-// assert a replica converged to its primary (tests,
+// histories, clock, oid counter, trigger and constraint definitions):
+// CRC32 over the canonical snapshot serialization at epoch 0, so the
+// epoch a node happens to be at never perturbs the hash. Two databases
+// hash equal iff they serialize identically — the equality check
+// replication uses to assert a replica converged to its primary (tests,
 // `tchimera_recover verify-replica`).
-Result<uint32_t> DatabaseStateHash(
-    const Database& db, const std::vector<std::string>& definitions = {});
+Result<uint32_t> DatabaseStateHash(const Database& db);
 
 }  // namespace tchimera
 

@@ -2,11 +2,27 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <memory>
 
 #include "common/string_util.h"
 #include "query/parser.h"
 
 namespace tchimera {
+namespace {
+
+// The first word of `statement`, lowercased (the definition forms and
+// `check` are recognized by it).
+std::string HeadWord(std::string_view statement) {
+  std::string head;
+  for (char c : statement) {
+    if (std::isspace(static_cast<unsigned char>(c))) break;
+    head.push_back(
+        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+  }
+  return head;
+}
+
+}  // namespace
 
 const char* TriggerEventName(TriggerEvent event) {
   switch (event) {
@@ -102,34 +118,49 @@ std::string Trigger::ToString() const {
   return out;
 }
 
+std::vector<std::string> DefinitionSet::Statements() const {
+  std::vector<std::string> out;
+  out.reserve(triggers.size() + constraints.size());
+  for (const Trigger& t : triggers) out.push_back(t.ToString());
+  for (const std::string& name : constraints.Names()) {
+    out.push_back(constraints.Find(name)->ToString());
+  }
+  return out;
+}
+
+DefinitionSet ActiveDatabase::CurrentDefinitions() const {
+  const DefinitionSet* defs = db_->definitions();
+  return defs == nullptr ? DefinitionSet{} : *defs;
+}
+
 Status ActiveDatabase::DefineTrigger(std::string_view text) {
   TCH_ASSIGN_OR_RETURN(Trigger t, Trigger::Parse(text));
-  for (const Trigger& existing : triggers_) {
+  DefinitionSet next = CurrentDefinitions();
+  for (const Trigger& existing : next.triggers) {
     if (existing.name == t.name) {
       return Status::AlreadyExists("trigger '" + t.name +
                                    "' already defined");
     }
   }
   // The action must at least parse now, not at firing time.
-  TCH_RETURN_IF_ERROR(ParseStatement(
-                          [&t] {
-                            std::string probe = t.action;
-                            size_t pos;
-                            while ((pos = probe.find("$self")) !=
-                                   std::string::npos) {
-                              probe.replace(pos, 5, "i1");
-                            }
-                            return probe;
-                          }())
-                          .status());
-  triggers_.push_back(std::move(t));
+  std::string probe = t.action;
+  size_t pos;
+  while ((pos = probe.find("$self")) != std::string::npos) {
+    probe.replace(pos, 5, "i1");
+  }
+  TCH_RETURN_IF_ERROR(ParseStatement(probe).status());
+  next.triggers.push_back(std::move(t));
+  db_->SetDefinitions(std::make_shared<const DefinitionSet>(std::move(next)));
   return Status::OK();
 }
 
 Status ActiveDatabase::DropTrigger(std::string_view name) {
-  for (auto it = triggers_.begin(); it != triggers_.end(); ++it) {
+  DefinitionSet next = CurrentDefinitions();
+  for (auto it = next.triggers.begin(); it != next.triggers.end(); ++it) {
     if (it->name == name) {
-      triggers_.erase(it);
+      next.triggers.erase(it);
+      db_->SetDefinitions(
+          std::make_shared<const DefinitionSet>(std::move(next)));
       return Status::OK();
     }
   }
@@ -138,18 +169,10 @@ Status ActiveDatabase::DropTrigger(std::string_view name) {
 
 std::vector<std::string> ActiveDatabase::TriggerNames() const {
   std::vector<std::string> out;
-  out.reserve(triggers_.size());
-  for (const Trigger& t : triggers_) out.push_back(t.name);
-  return out;
-}
-
-std::vector<std::string> ActiveDatabase::DefinitionStatements() const {
-  std::vector<std::string> out;
-  out.reserve(triggers_.size() + constraints_.size());
-  for (const Trigger& t : triggers_) out.push_back(t.ToString());
-  for (const std::string& name : constraints_.Names()) {
-    out.push_back(constraints_.Find(name)->ToString());
-  }
+  const DefinitionSet* defs = db_->definitions();
+  if (defs == nullptr) return out;
+  out.reserve(defs->triggers.size());
+  for (const Trigger& t : defs->triggers) out.push_back(t.name);
   return out;
 }
 
@@ -168,30 +191,39 @@ bool ActiveDatabase::Matches(const Trigger& trigger,
   return db_->isa().IsSubclassOf(*cls, trigger.class_filter);
 }
 
-Result<std::string> ActiveDatabase::Execute(std::string_view statement) {
+Result<std::string> ActiveDatabase::Define(std::string_view statement) {
   std::string_view trimmed = StripWhitespace(statement);
-  // The Section 7 definition forms are handled by this facade directly.
-  std::string head;
-  for (char c : trimmed.substr(0, 11)) {
-    if (std::isspace(static_cast<unsigned char>(c))) break;
-    head.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
+  const std::string head = HeadWord(trimmed);
   if (head == "trigger") {
     TCH_RETURN_IF_ERROR(DefineTrigger(trimmed));
-    return "trigger " + triggers_.back().name + " defined";
+    return "trigger " + db_->definitions()->triggers.back().name +
+           " defined";
   }
   if (head == "constraint") {
-    TCH_RETURN_IF_ERROR(constraints_.Define(trimmed));
-    return "constraint " + constraints_.Names().back() + " defined";
+    DefinitionSet next = CurrentDefinitions();
+    TCH_RETURN_IF_ERROR(next.constraints.Define(trimmed));
+    std::string out = "constraint " + next.constraints.Names().back() +
+                      " defined";
+    db_->SetDefinitions(
+        std::make_shared<const DefinitionSet>(std::move(next)));
+    return out;
   }
+  return Status::InvalidArgument(
+      "expected a 'trigger' or 'constraint' definition");
+}
+
+Result<std::string> ActiveDatabase::Execute(std::string_view statement) {
+  std::string_view trimmed = StripWhitespace(statement);
+  const std::string head = HeadWord(trimmed);
+  if (head == "trigger" || head == "constraint") return Define(trimmed);
   std::vector<std::string> chain;
   TCH_ASSIGN_OR_RETURN(std::string out,
                        ExecuteInternal(trimmed, &chain));
-  // `check` additionally evaluates the registered constraints.
-  if (head == "check" && constraints_.size() > 0) {
-    TCH_RETURN_IF_ERROR(constraints_.CheckAll(*db_));
-    out += " (and " + std::to_string(constraints_.size()) +
+  // `check` additionally evaluates the defined constraints.
+  const DefinitionSet* defs = db_->definitions();
+  if (head == "check" && defs != nullptr && defs->constraints.size() > 0) {
+    TCH_RETURN_IF_ERROR(defs->constraints.CheckAll(*db_));
+    out += " (and " + std::to_string(defs->constraints.size()) +
            " temporal constraints hold)";
   }
   return out;
@@ -239,12 +271,12 @@ Result<std::string> ActiveDatabase::ExecuteInternal(
 
 Status ActiveDatabase::Fire(const Event& event,
                             std::vector<std::string>* chain) {
-  // Snapshot the matching set first: actions may define further triggers.
-  std::vector<Trigger> matching;
-  for (const Trigger& t : triggers_) {
-    if (Matches(t, event)) matching.push_back(t);
-  }
-  for (const Trigger& t : matching) {
+  // Actions are plain TQL, which cannot change definitions, so this set
+  // stays installed for the whole cascade.
+  const DefinitionSet* defs = db_->definitions();
+  if (defs == nullptr) return Status::OK();
+  for (const Trigger& t : defs->triggers) {
+    if (!Matches(t, event)) continue;
     ++fired_;
     std::string action = t.action;
     std::string self = event.subject.ToString();

@@ -12,13 +12,18 @@
 //         match: a trigger `of person` fires for employees too);
 //   ATTR  further filters update events by the touched attribute;
 //   the action is any TQL statement; `$self` inside it is replaced by the
-//   subject's oid before execution.
+//   subject's oid before execution. The definition forms themselves are
+//   not TQL, so an action can never change the definitions.
 //
-// ActiveDatabase is the execution facade: statements go through it,
-// matching triggers fire after a successful mutation, and trigger actions
-// may recursively fire further triggers. Termination — the issue the
-// paper flags — is handled by a cascade depth limit: exceeding it aborts
-// the statement with FailedPrecondition and reports the trigger chain.
+// Definitions are schema: they live in the Database as one immutable
+// DefinitionSet (below), so they ride COW copies, MVCC publication,
+// optimistic commit validation and snapshots like every other schema
+// change. ActiveDatabase is the execution facade over a Database and
+// holds no definitions of its own: statements go through it, the database's matching triggers
+// fire after a successful mutation, and trigger actions may recursively
+// fire further triggers. Termination — the issue the paper flags — is
+// handled by a cascade depth limit: exceeding it aborts the statement
+// with FailedPrecondition and reports the trigger chain.
 #ifndef TCHIMERA_TRIGGERS_TRIGGER_H_
 #define TCHIMERA_TRIGGERS_TRIGGER_H_
 
@@ -49,6 +54,19 @@ struct Trigger {
   std::string ToString() const;
 };
 
+// The trigger and constraint definitions of one database state, in
+// definition order. Immutable once installed (Database::SetDefinitions):
+// a change builds a modified copy and installs it wholesale.
+struct DefinitionSet {
+  std::vector<Trigger> triggers;
+  ConstraintRegistry constraints;
+
+  // Every trigger, then every constraint, each in the exact re-parseable
+  // form ActiveDatabase::Execute accepts — the snapshot's DEFINE records
+  // (docs/PERSISTENCE.md).
+  std::vector<std::string> Statements() const;
+};
+
 class ActiveDatabase {
  public:
   // Does not take ownership; `db` must outlive this facade.
@@ -58,45 +76,28 @@ class ActiveDatabase {
   Database& db() { return *db_; }
   const Database& db() const { return *db_; }
 
+  // Add to / remove from the database's definition set.
   Status DefineTrigger(std::string_view text);
   Status DropTrigger(std::string_view name);
   std::vector<std::string> TriggerNames() const;
-
-  // The attached temporal integrity constraints; `check` statements run
-  // them after the model's own consistency check.
-  ConstraintRegistry& constraints() { return constraints_; }
-  const ConstraintRegistry& constraints() const { return constraints_; }
 
   // Opt-in static analysis for statements executed through this facade
   // (forwarded to the internal interpreter; see Interpreter::set_lint).
   void set_lint(DiagnosticEngine* diags) { interp_.set_lint(diags); }
 
-  // Copies `other`'s trigger and constraint definitions into this
-  // facade, replacing any it already had. Used to equip a per-transaction
-  // facade (optimistic writers execute against a private database copy)
-  // with the engine's registered definitions; both are cheap, copyable
-  // value types.
-  void CopyDefinitionsFrom(const ActiveDatabase& other) {
-    triggers_ = other.triggers_;
-    constraints_ = other.constraints_;
-  }
-
-  // The textual definition of every registered trigger, then every
-  // constraint, each in the exact re-parseable form Execute accepts.
-  // This is what a checkpoint persists (snapshot v3 DEFINE records, see
-  // docs/PERSISTENCE.md) so definitions survive the journal being folded
-  // into a snapshot.
-  std::vector<std::string> DefinitionStatements() const;
-
-  // Executes a statement; on a successful mutation, fires matching
-  // triggers (and their cascades). Returns the statement's own output.
-  //
-  // Beyond plain TQL this facade also accepts the two Section 7
-  // definition forms directly:
+  // Installs one of the two Section 7 definition forms:
   //   trigger NAME on EVENT [of CLASS[.ATTR]] do <stmt>
   //   constraint NAME on CLASS (always|sometime) <expr>
   //   constraint NAME on CLASS (nondecreasing|immutable) ATTR
-  // and extends `check` to also evaluate every registered constraint.
+  // Any other statement is InvalidArgument. Returns the acknowledgement
+  // ("trigger NAME defined").
+  Result<std::string> Define(std::string_view statement);
+
+  // Executes a statement; on a successful mutation, fires matching
+  // triggers (and their cascades). Returns the statement's own output.
+  // Beyond plain TQL this facade also accepts the definition forms above
+  // (see Define) and extends `check` to also evaluate every defined
+  // constraint.
   Result<std::string> Execute(std::string_view statement);
 
   // Trigger firings since construction (diagnostics / benchmarks).
@@ -109,6 +110,8 @@ class ActiveDatabase {
     std::string attr;  // update events
   };
 
+  // A modifiable copy of the database's current definitions.
+  DefinitionSet CurrentDefinitions() const;
   // True if `trigger` matches `event` under the current schema.
   bool Matches(const Trigger& trigger, const Event& event) const;
   // Runs all matching triggers for `event`; `chain` carries the firing
@@ -120,8 +123,6 @@ class ActiveDatabase {
   Database* db_;
   Interpreter interp_;
   size_t max_depth_;
-  std::vector<Trigger> triggers_;
-  ConstraintRegistry constraints_;
   size_t fired_ = 0;
 };
 

@@ -33,6 +33,7 @@
 #include "storage/journal.h"
 #include "storage/recovery.h"
 #include "storage/serializer.h"
+#include "triggers/trigger.h"
 
 namespace tchimera {
 namespace {
@@ -627,8 +628,9 @@ TEST(GroupCommitTest, EnqueueAfterPoisonFailsFast) {
 }
 
 // ---------------------------------------------------------------------------
-// The full engine + sink + checkpoint + recovery cycle, with trigger and
-// constraint definitions riding the v3 snapshot's DEFINE records.
+// The full engine + sink + checkpoint + recovery cycle, with the
+// database's trigger and constraint definitions riding the snapshot's
+// DEFINE records.
 
 TEST(EngineRecoveryTest, CheckpointPreservesDefinitionsAcrossRestart) {
   std::string dir = FreshDir("checkpoint");
@@ -649,36 +651,29 @@ TEST(EngineRecoveryTest, CheckpointPreservesDefinitionsAcrossRestart) {
     ASSERT_TRUE(
         session.Execute("constraint positive on emp always x.v > 0").ok());
 
-    Status checkpointed = engine.WithExclusive(
-        [&](Database& live, ActiveDatabase& active) {
-          return sink.WithQuiesced([&](Journal& journal) {
-            return RecoveryManager::Checkpoint(live, &journal, snapshot_path,
-                                               nullptr,
-                                               active.DefinitionStatements());
-          });
-        });
+    Status checkpointed = engine.WithExclusive([&](Database& live) {
+      return sink.WithQuiesced([&](Journal& journal) {
+        return RecoveryManager::Checkpoint(live, &journal, snapshot_path);
+      });
+    });
     ASSERT_TRUE(checkpointed.ok()) << checkpointed;
     sink.Close();
   }
 
-  // Restart: phase API, definitions replayed through the new facade.
+  // Restart: the snapshot load installs the definitions.
   RecoveryManager manager(snapshot_path, journal_path);
   RecoveryStats stats;
   Result<std::unique_ptr<Database>> db = manager.LoadSnapshot(&stats);
   ASSERT_TRUE(db.ok()) << db.status();
-  ASSERT_EQ(manager.snapshot_definitions().size(), 2u);
+  ASSERT_NE((*db)->definitions(), nullptr);
+  EXPECT_EQ((*db)->definitions()->Statements().size(), 2u);
 
   Engine engine(std::move(*db));
   Session session = engine.OpenSession();
-  for (const std::string& definition : manager.snapshot_definitions()) {
-    Result<std::string> out = session.Execute(definition);
-    ASSERT_TRUE(out.ok()) << out.status() << " restoring: " << definition;
-  }
   Status replayed = manager.ReplayJournals(
       [&](const std::string& stmt) { return session.Execute(stmt).status(); },
       &stats);
   ASSERT_TRUE(replayed.ok()) << replayed;
-  EXPECT_EQ(engine.active().DefinitionStatements().size(), 2u);
 
   // The restored trigger actually fires...
   Result<std::string> oid = session.Execute("create emp (v: 1)");
@@ -691,6 +686,75 @@ TEST(EngineRecoveryTest, CheckpointPreservesDefinitionsAcrossRestart) {
   ASSERT_TRUE(session.Execute("tick 1").ok());
   ASSERT_TRUE(session.Execute("update " + *oid + " set v = -5").ok());
   EXPECT_FALSE(session.Execute("check").ok());
+}
+
+// A trigger definition is a schema change: its commit must abort every
+// optimistic writer that executed under the older definitions. Otherwise
+// a create that fired the old trigger set commits after the definition,
+// and journal replay — which fires the newer set for it — diverges from
+// the live state.
+TEST(ConcurrencyTest, TriggerDefinitionsRacingCreatesReplayIdentically) {
+  std::string dir = FreshDir("trigger_race");
+  const std::string journal_path = dir + "/journal.tchl";
+
+  Engine engine;
+  {
+    Session setup = engine.OpenSession();
+    ASSERT_TRUE(setup.Execute(kSchema).ok());
+  }
+  GroupCommitJournal sink;
+  ASSERT_TRUE(sink.Open(journal_path).ok());
+  engine.set_commit_sink(&sink);
+
+  // Creators run exactly as long as the definitions keep coming: every
+  // create fires every trigger defined so far, so creates past the last
+  // definition would only add cost, not races.
+  constexpr int kDefinitions = 300;
+  constexpr int kCreators = 2;
+  std::atomic<bool> defining{true};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> creators;
+  for (int c = 0; c < kCreators; ++c) {
+    creators.emplace_back([&engine, &defining, &failures] {
+      Session session = engine.OpenSession();
+      do {
+        if (!session.Execute("create emp (v: 0)").ok()) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      } while (defining.load());
+    });
+  }
+  {
+    Session session = engine.OpenSession();
+    for (int k = 1; k <= kDefinitions; ++k) {
+      const std::string n = std::to_string(k);
+      if (!session
+               .Execute("trigger t" + n +
+                        " on create of emp do update $self set v = " + n)
+               .ok()) {
+        failures.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  }
+  defining.store(false);
+  for (std::thread& t : creators) t.join();
+  ASSERT_EQ(failures.load(), 0);
+  sink.Close();
+
+  // Replay through a fresh engine, whose sessions fire triggers exactly
+  // like the live ones (schema first: it preceded the sink).
+  Result<JournalScan> scan = ScanJournal(journal_path);
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  ASSERT_TRUE(scan->tail_error.ok());
+  Engine replayed;
+  Session session = replayed.OpenSession();
+  ASSERT_TRUE(session.Execute(kSchema).ok());
+  for (const std::string& stmt : scan->statements) {
+    Result<std::string> out = session.Execute(stmt);
+    ASSERT_TRUE(out.ok()) << out.status() << " replaying: " << stmt;
+  }
+  EXPECT_EQ(SaveDatabaseToString(replayed.writer_db()).value(),
+            SaveDatabaseToString(engine.writer_db()).value());
 }
 
 // ---------------------------------------------------------------------------

@@ -111,19 +111,9 @@ struct Primary {
     ropts.audit = AuditMode::kOff;
     RecoveryManager manager(p->snapshot_path(), p->journal_path(), ropts);
     RecoveryStats stats;
-    Result<std::unique_ptr<Database>> db = manager.LoadSnapshot(&stats);
-    if (!db.ok()) return db.status();
-    p->engine = std::make_unique<Engine>(std::move(db.value()));
-    auto exec = [p](const std::string& statement) {
-      return p->engine->WithExclusive(
-          [&statement](Database&, ActiveDatabase& active) {
-            return active.Execute(statement).status();
-          });
-    };
-    for (const std::string& definition : manager.snapshot_definitions()) {
-      TCH_RETURN_IF_ERROR(exec(definition));
-    }
-    TCH_RETURN_IF_ERROR(manager.ReplayJournals(exec, &stats));
+    TCH_ASSIGN_OR_RETURN(std::unique_ptr<Database> db,
+                         manager.Recover(&stats));
+    p->engine = std::make_unique<Engine>(std::move(db));
     p->sink = std::make_unique<GroupCommitJournal>();
     JournalOptions jopts;
     jopts.fs = fs;
@@ -134,14 +124,12 @@ struct Primary {
   }
 
   Status Checkpoint(FileSystem* fs = nullptr) {
-    return engine->WithExclusive(
-        [this, fs](Database& live, ActiveDatabase& active) {
-          return sink->WithQuiesced([&](Journal& journal) {
-            return RecoveryManager::Checkpoint(live, &journal,
-                                               snapshot_path(), fs,
-                                               active.DefinitionStatements());
-          });
-        });
+    return engine->WithExclusive([this, fs](Database& live) {
+      return sink->WithQuiesced([&](Journal& journal) {
+        return RecoveryManager::Checkpoint(live, &journal, snapshot_path(),
+                                           fs);
+      });
+    });
   }
 
   ReplicationSource::Options SourceOptions() const {
@@ -154,14 +142,10 @@ struct Primary {
 
 uint32_t StateHashOf(Engine* engine) {
   uint32_t hash = 0;
-  Status status = engine->WithExclusive(
-      [&hash](Database& db, ActiveDatabase& active) {
-        Result<uint32_t> h =
-            DatabaseStateHash(db, active.DefinitionStatements());
-        if (!h.ok()) return h.status();
-        hash = h.value();
-        return Status::OK();
-      });
+  Status status = engine->WithExclusive([&hash](Database& db) {
+    TCH_ASSIGN_OR_RETURN(hash, DatabaseStateHash(db));
+    return Status::OK();
+  });
   EXPECT_TRUE(status.ok()) << status;
   return hash;
 }

@@ -420,9 +420,6 @@ uint32_t RecoverAndHash(const std::string& dir) {
   EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
   Engine engine(std::move(loaded).value());
   Session session = engine.OpenSession();
-  for (const std::string& definition : recovery.snapshot_definitions()) {
-    EXPECT_TRUE(session.Execute(definition).ok()) << definition;
-  }
   Status replayed = recovery.ReplayJournals(
       [&session](const std::string& statement) {
         return session.Execute(statement).status();
@@ -432,8 +429,7 @@ uint32_t RecoverAndHash(const std::string& dir) {
   EXPECT_TRUE(RecoveryManager::Audit(&engine.writer_db(), AuditMode::kFail,
                                      &stats)
                   .ok());
-  Result<uint32_t> hash = DatabaseStateHash(
-      engine.writer_db(), engine.active().DefinitionStatements());
+  Result<uint32_t> hash = DatabaseStateHash(engine.writer_db());
   EXPECT_TRUE(hash.ok()) << hash.status().ToString();
   return hash.ok() ? hash.value() : 0;
 }

@@ -13,6 +13,7 @@
 #include "storage/journal.h"
 #include "storage/recovery.h"
 #include "storage/serializer.h"
+#include "triggers/trigger.h"
 #include "workload/generator.h"
 
 namespace tchimera {
@@ -287,6 +288,11 @@ TEST(JournalTest, MutatingStatementMatchesWholeTokenOnly) {
   EXPECT_TRUE(IsMutatingStatement("create index iv on item (v)"));
   EXPECT_TRUE(IsMutatingStatement("  CREATE index iv on item lifespan"));
   EXPECT_TRUE(IsMutatingStatement("drop index iv"));
+  // Trigger and constraint definitions are schema changes: journaled,
+  // replicated and group-committed like class DDL.
+  EXPECT_TRUE(IsMutatingStatement("trigger t on create do tick"));
+  EXPECT_TRUE(
+      IsMutatingStatement("  Constraint c on emp always x.v > 0"));
   // Prefix look-alikes are queries, not mutations.
   EXPECT_FALSE(IsMutatingStatement("deletion_report from x in c"));
   EXPECT_FALSE(IsMutatingStatement("ticket from x in c"));
@@ -314,14 +320,32 @@ TEST(JournalTest, ReplayFailsFastOnBadStatement) {
 
 // --- v3 snapshots: DEFINE records for trigger/constraint definitions ---
 
+// Recomputes the footer of snapshot text whose body was edited by hand,
+// keeping the footer's CLASS+OBJECT record count.
+std::string Reseal(const std::string& text) {
+  size_t chk = text.find("CHECKSUM ");
+  EXPECT_NE(chk, std::string::npos);
+  std::string body = text.substr(0, chk);
+  size_t count_end = text.find(' ', chk + 9);
+  std::string records = text.substr(chk + 9, count_end - chk - 9);
+  return body + "CHECKSUM " + records + " " + Crc32Hex(Crc32(body)) +
+         "\nEOF\n";
+}
+
 TEST(SerializerTest, V3SnapshotCarriesDefinitions) {
   Database db;
   Populate(&db, 19);
   const std::vector<std::string> defs = {
       "trigger t on create of employee do update $self set salary = 1",
-      "constraint c on employee always x.salary > 0"};
-  std::string text = SaveDatabaseToString(db, 4, defs).value();
+      "constraint c on employee always (x.salary > 0)"};
+  ActiveDatabase active(&db);
+  // Defined constraint-first: DEFINE records still list triggers first.
+  ASSERT_TRUE(active.Execute(defs[1]).ok());
+  ASSERT_TRUE(active.Execute(defs[0]).ok());
+  std::string text = SaveDatabaseToString(db, 4).value();
   EXPECT_EQ(text.rfind("TCHIMERA-SNAPSHOT 4", 0), 0u);
+  EXPECT_NE(text.find("DEFINE " + defs[0] + "\nDEFINE " + defs[1] + "\n"),
+            std::string::npos);
 
   Result<SnapshotInfo> info = ProbeSnapshot(text);
   ASSERT_TRUE(info.ok()) << info.status();
@@ -329,18 +353,57 @@ TEST(SerializerTest, V3SnapshotCarriesDefinitions) {
   EXPECT_EQ(info->epoch, 4u);
   EXPECT_TRUE(info->integrity.ok()) << info->integrity;
 
-  // The full parse hands the definitions back, in order, unapplied.
-  Result<LoadedSnapshot> loaded = LoadSnapshotFromString(text);
+  // The load installs the definitions, in order.
+  Result<std::unique_ptr<Database>> loaded = LoadDatabaseFromString(text);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->definitions, defs);
-  // Fixed point: re-serializing with the same definitions reproduces the
-  // bytes, so DEFINE records round-trip exactly.
-  EXPECT_EQ(SaveDatabaseToString(*loaded->db, 4, defs).value(), text);
+  ASSERT_NE((*loaded)->definitions(), nullptr);
+  EXPECT_EQ((*loaded)->definitions()->Statements(), defs);
+  // Fixed point: re-serializing reproduces the bytes, so DEFINE records
+  // round-trip exactly.
+  EXPECT_EQ(SaveDatabaseToString(**loaded, 4).value(), text);
+  EXPECT_EQ(DatabaseStateHash(**loaded).value(),
+            DatabaseStateHash(db).value());
+}
 
-  // The plain loader accepts v3 too; it just drops the definitions.
-  Result<std::unique_ptr<Database>> plain = LoadDatabaseFromString(text);
-  ASSERT_TRUE(plain.ok()) << plain.status();
-  EXPECT_EQ((*plain)->object_count(), db.object_count());
+TEST(SerializerTest, DefineRecordsOfEarlierSnapshotsFireAndCheck) {
+  // DEFINE records spliced in by hand where every v3+ writer puts them
+  // (after the objects, before INDEX and NEXT-OID), exactly as snapshots
+  // that carried definitions beside the database were written.
+  Database db;
+  ASSERT_TRUE(Interpreter(&db)
+                  .Execute("define class emp attributes v: temporal(integer) "
+                           "end")
+                  .ok());
+  std::string text = SaveDatabaseToString(db).value();
+  const size_t next_oid = text.find("NEXT-OID ");
+  ASSERT_NE(next_oid, std::string::npos);
+  text.insert(next_oid,
+              "DEFINE trigger boost on create of emp do update $self set "
+              "v = 42\nDEFINE constraint positive on emp always (x.v > 0)\n");
+  text = Reseal(text);
+
+  Result<std::unique_ptr<Database>> loaded = LoadDatabaseFromString(text);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(SaveDatabaseToString(**loaded).value(), text);
+  ActiveDatabase active(loaded->get());
+  Result<std::string> oid = active.Execute("create emp (v: 1)");
+  ASSERT_TRUE(oid.ok()) << oid.status();
+  EXPECT_EQ(active.Execute("select x.v from x in emp").value(), "42");
+  EXPECT_EQ(active.Execute("check").value(),
+            "consistent (and 1 temporal constraints hold)");
+  ASSERT_TRUE(active.Execute("tick 1").ok());
+  ASSERT_TRUE(active.Execute("update " + *oid + " set v = -5").ok());
+  Result<std::string> violated = active.Execute("check");
+  ASSERT_FALSE(violated.ok());
+  EXPECT_EQ(violated.status().code(), StatusCode::kConsistencyViolation);
+
+  // A DEFINE record that is not a definition is corruption, not data.
+  std::string bad = text;
+  bad.replace(bad.find("DEFINE trigger"), 14, "DEFINE tick 1 ");
+  Result<std::unique_ptr<Database>> rejected =
+      LoadDatabaseFromString(Reseal(bad));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kCorruption);
 }
 
 // --- v4 snapshots: INDEX records for temporal secondary indexes ---
@@ -393,8 +456,11 @@ TEST(SerializerTest, V4SnapshotRestoresIndexDefinitionsAndRebuilds) {
 
 TEST(SerializerTest, NewlineInDefinitionIsRejected) {
   Database db;
-  Result<std::string> r =
-      SaveDatabaseToString(db, 0, {"trigger a on create of b do\ntick 1"});
+  ASSERT_TRUE(ActiveDatabase(&db)
+                  .DefineTrigger("trigger a on create of b do update $self "
+                                 "set\nv = 1")
+                  .ok());
+  Result<std::string> r = SaveDatabaseToString(db);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
@@ -402,12 +468,15 @@ TEST(SerializerTest, NewlineInDefinitionIsRejected) {
 TEST(SerializerTest, V2SnapshotStillLoads) {
   Database db;
   Populate(&db, 23);
-  const std::vector<std::string> defs = {
-      "constraint c on employee always x.salary > 0"};
-  std::string v3 = SaveDatabaseToString(db, 6, defs).value();
+  const std::string expected = SaveDatabaseToString(db, 0).value();
+  ASSERT_TRUE(ActiveDatabase(&db)
+                  .Execute("constraint c on employee always x.salary > 0")
+                  .ok());
+  std::string v3 = SaveDatabaseToString(db, 6).value();
 
   // Shape the v3 text into its v2 equivalent: version 2 header, no DEFINE
-  // lines, checksum recomputed over the altered body.
+  // lines, checksum recomputed over the altered body (DEFINE lines never
+  // counted toward the footer's record count).
   std::string v2 = v3;
   size_t header_end = v2.find('\n');
   ASSERT_NE(header_end, std::string::npos);
@@ -416,13 +485,7 @@ TEST(SerializerTest, V2SnapshotStillLoads) {
   while ((define_pos = v2.find("\nDEFINE ")) != std::string::npos) {
     v2.erase(define_pos + 1, v2.find('\n', define_pos + 1) - define_pos);
   }
-  size_t footer_pos = v2.find("CHECKSUM ");
-  ASSERT_NE(footer_pos, std::string::npos);
-  std::string body = v2.substr(0, footer_pos);
-  // Keep the record count (DEFINE lines never counted toward it).
-  size_t count_end = v2.find(' ', footer_pos + 9);
-  std::string records = v2.substr(footer_pos + 9, count_end - footer_pos - 9);
-  v2 = body + "CHECKSUM " + records + " " + Crc32Hex(Crc32(body)) + "\nEOF\n";
+  v2 = Reseal(v2);
 
   Result<SnapshotInfo> info = ProbeSnapshot(v2);
   ASSERT_TRUE(info.ok()) << info.status();
@@ -430,24 +493,16 @@ TEST(SerializerTest, V2SnapshotStillLoads) {
   EXPECT_EQ(info->epoch, 6u);
   EXPECT_TRUE(info->integrity.ok()) << info->integrity;
 
-  Result<LoadedSnapshot> loaded = LoadSnapshotFromString(v2);
+  Result<std::unique_ptr<Database>> loaded = LoadDatabaseFromString(v2);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_TRUE(loaded->definitions.empty());
-  EXPECT_EQ(SaveDatabaseToString(*loaded->db, 0).value(),
-            SaveDatabaseToString(db, 0).value());
+  EXPECT_EQ((*loaded)->definitions(), nullptr);
+  EXPECT_EQ(SaveDatabaseToString(**loaded, 0).value(), expected);
 
   // A DEFINE record in a v2 snapshot is corruption, not data: the tag was
   // introduced with v3.
   std::string bad = v3;
   bad.replace(0, bad.find('\n'), "TCHIMERA-SNAPSHOT 2");
-  size_t chk = bad.find("CHECKSUM ");
-  ASSERT_NE(chk, std::string::npos);
-  std::string bad_body = bad.substr(0, chk);
-  size_t bad_count_end = bad.find(' ', chk + 9);
-  std::string bad_records = bad.substr(chk + 9, bad_count_end - chk - 9);
-  bad = bad_body + "CHECKSUM " + bad_records + " " +
-        Crc32Hex(Crc32(bad_body)) + "\nEOF\n";
-  EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
+  EXPECT_FALSE(LoadDatabaseFromString(Reseal(bad)).ok());
 }
 
 }  // namespace

@@ -33,7 +33,6 @@
 #include "storage/journal.h"
 #include "storage/recovery.h"
 #include "storage/serializer.h"
-#include "triggers/trigger.h"
 
 namespace tchimera {
 namespace {
@@ -122,38 +121,10 @@ int Inspect(const std::string& dir) {
 }
 
 int Verify(const std::string& dir) {
-  // The phase API with an ActiveDatabase executor, mirroring the REPL:
-  // journals written by it contain `trigger` / `constraint` definitions
-  // a plain Interpreter would reject.
   RecoveryManager manager(dir + "/" + kSnapshotName,
                           dir + "/" + kJournalName);
   RecoveryStats stats;
-  Status failure = Status::OK();
-  std::unique_ptr<Database> db;
-  auto loaded = manager.LoadSnapshot(&stats);
-  if (!loaded.ok()) {
-    failure = loaded.status();
-  } else {
-    db = std::move(loaded).value();
-    ActiveDatabase active(db.get());
-    // A v3 snapshot carries trigger/constraint definitions; restore them
-    // before replay so journaled statements see the same active rules
-    // they were originally executed under.
-    for (const std::string& definition : manager.snapshot_definitions()) {
-      failure = active.Execute(definition).status();
-      if (!failure.ok()) break;
-    }
-    if (failure.ok()) {
-      failure = manager.ReplayJournals(
-          [&active](const std::string& statement) {
-            return active.Execute(statement).status();
-          },
-          &stats);
-    }
-    if (failure.ok()) {
-      failure = RecoveryManager::Audit(db.get(), AuditMode::kFail, &stats);
-    }
-  }
+  Result<std::unique_ptr<Database>> db = manager.Recover(&stats);
   for (const std::string& note : stats.notes) {
     std::printf("note: %s\n", note.c_str());
   }
@@ -162,13 +133,13 @@ int Verify(const std::string& dir) {
               stats.snapshot_loaded ? "loaded" : "absent",
               static_cast<unsigned long long>(stats.snapshot_epoch),
               stats.journals_replayed, stats.statements_applied);
-  if (!failure.ok()) {
-    std::printf("NOT RECOVERABLE: %s\n", failure.ToString().c_str());
+  if (!db.ok()) {
+    std::printf("NOT RECOVERABLE: %s\n", db.status().ToString().c_str());
     return 1;
   }
   std::printf("OK: recovers to a consistent database "
               "(%zu objects, now = %lld)\n",
-              db->object_count(), static_cast<long long>(db->now()));
+              (*db)->object_count(), static_cast<long long>((*db)->now()));
   return 0;
 }
 
@@ -201,28 +172,17 @@ int Salvage(const std::string& dir) {
 // positions are directly comparable).
 struct RecoveredDir {
   std::unique_ptr<Database> db;
-  std::unique_ptr<ActiveDatabase> active;
   uint64_t epoch = 0;
   uint64_t last_seq = 0;
 };
 
 Status RecoverDir(const std::string& dir, RecoveredDir* out) {
+  RecoveryOptions options;
+  options.audit = AuditMode::kOff;
   RecoveryManager manager(dir + "/" + kSnapshotName,
-                          dir + "/" + kJournalName);
+                          dir + "/" + kJournalName, options);
   RecoveryStats stats;
-  auto loaded = manager.LoadSnapshot(&stats);
-  if (!loaded.ok()) return loaded.status();
-  out->db = std::move(loaded).value();
-  out->active = std::make_unique<ActiveDatabase>(out->db.get());
-  for (const std::string& definition : manager.snapshot_definitions()) {
-    Status status = out->active->Execute(definition).status();
-    if (!status.ok()) return status;
-  }
-  TCH_RETURN_IF_ERROR(manager.ReplayJournals(
-      [out](const std::string& statement) {
-        return out->active->Execute(statement).status();
-      },
-      &stats));
+  TCH_ASSIGN_OR_RETURN(out->db, manager.Recover(&stats));
   std::string live = dir + "/" + kJournalName;
   out->epoch = stats.next_epoch;
   if (FileSystem::Default()->FileExists(live)) {
@@ -250,10 +210,8 @@ int VerifyReplica(const std::string& replica_dir,
                 status.ToString().c_str());
     return 1;
   }
-  auto replica_hash =
-      DatabaseStateHash(*replica.db, replica.active->DefinitionStatements());
-  auto primary_hash =
-      DatabaseStateHash(*primary.db, primary.active->DefinitionStatements());
+  auto replica_hash = DatabaseStateHash(*replica.db);
+  auto primary_hash = DatabaseStateHash(*primary.db);
   if (!replica_hash.ok() || !primary_hash.ok()) {
     std::printf("state hash failed: %s\n",
                 (!replica_hash.ok() ? replica_hash.status() :

@@ -111,18 +111,11 @@ int main(int argc, char** argv) {
   GroupCommitJournal sink;
   if (!journal_path.empty()) {
     Session boot = engine.OpenSession();
-    Status replayed = Status::OK();
-    for (const std::string& definition : recovery.snapshot_definitions()) {
-      replayed = boot.Execute(definition).status();
-      if (!replayed.ok()) break;
-    }
-    if (replayed.ok()) {
-      replayed = recovery.ReplayJournals(
-          [&boot](const std::string& statement) {
-            return boot.Execute(statement).status();
-          },
-          &stats);
-    }
+    Status replayed = recovery.ReplayJournals(
+        [&boot](const std::string& statement) {
+          return boot.Execute(statement).status();
+        },
+        &stats);
     for (const std::string& note : stats.notes) {
       std::fprintf(stderr, "recovery: %s\n", note.c_str());
     }
