@@ -536,15 +536,15 @@ class SchemaAnalysis {
     const TimePoint now = base_->now();
     for (const std::string& name : base_->ClassNames()) {
       const ClassDef* def = base_->GetClass(name);
-      CheckExtentWithin(name, "ext", def->ext().Domain(now), name,
+      const IntervalSet ext = def->member_postings().Domain(now);
+      CheckExtentWithin(name, "ext", ext, name, def->lifespan(), now);
+      CheckExtentWithin(name, "proper-ext",
+                        def->instance_postings().Domain(now), name,
                         def->lifespan(), now);
-      CheckExtentWithin(name, "proper-ext", def->proper_ext().Domain(now),
-                        name, def->lifespan(), now);
       for (const std::string& super : def->direct_superclasses()) {
         const ClassDef* sdef = base_->GetClass(super);
         if (sdef == nullptr) continue;
-        CheckExtentWithin(name, "ext", def->ext().Domain(now), super,
-                          sdef->lifespan(), now);
+        CheckExtentWithin(name, "ext", ext, super, sdef->lifespan(), now);
       }
     }
     for (const std::string& name : decl_order_) {

@@ -125,14 +125,12 @@ Status TemporalConstraint::CheckObject(const Database& db, Oid oid) const {
   switch (mode_) {
     case Mode::kAlways:
     case Mode::kSometime: {
-      // Type check against the class (fresh each call: the annotation
-      // cache on the shared AST is not thread-relevant here, but types
-      // may legitimately change as classes evolve).
+      // Type check against the class on every call (types may change as
+      // classes evolve). The condition AST is shared by every copy of the
+      // definition set, so the check must not annotate it.
       TypeEnv tenv;
       tenv.emplace("x", class_name_);
-      TCH_ASSIGN_OR_RETURN(
-          const Type* t,
-          TypeCheckExpr(const_cast<Expr*>(expr_.get()), db, tenv));
+      TCH_ASSIGN_OR_RETURN(const Type* t, TypeOfExpr(*expr_, db, tenv));
       if (t->kind() != TypeKind::kBool) {
         return Status::TypeError("constraint '" + name_ +
                                  "' condition must be bool, got " +

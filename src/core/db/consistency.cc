@@ -250,22 +250,25 @@ Status CheckReferentialIntegrityAllTime(const Database& db) {
 }
 
 Status CheckInvariant51(const Database& db) {
-  // (1) For every class and every extent segment, each member's lifespan
-  // covers the segment.
+  // (1) For every class, each member's lifespan covers every interval of
+  // its membership.
   for (const std::string& cls_name : db.ClassNames()) {
-    const ClassDef* cls = db.GetClass(cls_name);
-    for (const auto& seg : cls->ext().segments()) {
-      if (seg.value.kind() != ValueKind::kSet) continue;
-      for (const Value& e : seg.value.Elements()) {
-        const Object* obj = db.GetObject(e.AsOid());
-        if (obj == nullptr || !RawCovers(obj->lifespan(), seg.interval)) {
-          return Status::ConsistencyViolation(
-              "Invariant 5.1(1): " + e.AsOid().ToString() +
-              " is in the extent of " + cls_name + " over " +
-              seg.interval.ToString() + " outside its lifespan");
-        }
-      }
-    }
+    Status status = Status::OK();
+    db.GetClass(cls_name)->member_postings().ForEach(
+        [&](Oid oid, std::span<const Interval> posting) {
+          if (!status.ok()) return;
+          const Object* obj = db.GetObject(oid);
+          for (const Interval& iv : posting) {
+            if (obj == nullptr || !RawCovers(obj->lifespan(), iv)) {
+              status = Status::ConsistencyViolation(
+                  "Invariant 5.1(1): " + oid.ToString() +
+                  " is in the extent of " + cls_name + " over " +
+                  iv.ToString() + " outside its lifespan");
+              return;
+            }
+          }
+        });
+    TCH_RETURN_IF_ERROR(status);
   }
   // (2) Proper-extent membership intervals == class-history intervals.
   for (Oid oid : db.AllOids()) {
@@ -278,14 +281,10 @@ Status CheckInvariant51(const Database& db) {
     }
     for (const std::string& cls_name : db.ClassNames()) {
       const ClassDef* cls = db.GetClass(cls_name);
-      IntervalSet from_extent;
-      Value needle = Value::OfOid(oid);
-      for (const auto& seg : cls->proper_ext().segments()) {
-        if (seg.value.kind() == ValueKind::kSet &&
-            seg.value.Contains(needle)) {
-          from_extent.Add(seg.interval);
-        }
-      }
+      std::span<const Interval> posting =
+          cls->instance_postings().IntervalsOf(oid);
+      IntervalSet from_extent(
+          std::vector<Interval>(posting.begin(), posting.end()));
       auto it = from_history.find(cls_name);
       IntervalSet expected =
           it == from_history.end() ? IntervalSet() : it->second;
@@ -357,20 +356,24 @@ Status CheckInvariant61(const Database& db) {
             " of " + sub_name + " is not within lifespan " +
             super->lifespan().ToString() + " of superclass " + super_name);
       }
-      // (2) Extent inclusion at every instant (piecewise).
-      for (const auto& seg : sub->ext().segments()) {
-        if (seg.value.kind() != ValueKind::kSet) continue;
-        for (const Value& e : seg.value.Elements()) {
-          if (!super->RawMemberIntervals(e.AsOid())
-                   .CoversInterval(seg.interval)) {
-            return Status::ConsistencyViolation(
-                "Invariant 6.1(2): " + e.AsOid().ToString() +
-                " is in the extent of " + sub_name + " over " +
-                seg.interval.ToString() +
-                " but not in the extent of superclass " + super_name);
-          }
-        }
-      }
+      // (2) Extent inclusion at every instant.
+      Status status = Status::OK();
+      sub->member_postings().ForEach(
+          [&](Oid oid, std::span<const Interval> posting) {
+            if (!status.ok()) return;
+            const IntervalSet in_super = super->RawMemberIntervals(oid);
+            for (const Interval& iv : posting) {
+              if (!in_super.CoversInterval(iv)) {
+                status = Status::ConsistencyViolation(
+                    "Invariant 6.1(2): " + oid.ToString() +
+                    " is in the extent of " + sub_name + " over " +
+                    iv.ToString() + " but not in the extent of superclass " +
+                    super_name);
+                return;
+              }
+            }
+          });
+      TCH_RETURN_IF_ERROR(status);
     }
   }
   return Status::OK();
@@ -384,11 +387,9 @@ Status CheckInvariant62(const Database& db) {
     const ClassDef* cls = db.GetClass(cls_name);
     Result<std::string> h = db.isa().HierarchyId(cls_name);
     if (!h.ok()) return h.status();
-    std::set<Oid> ever;
-    for (const auto& seg : cls->ext().segments()) {
-      if (seg.value.kind() != ValueKind::kSet) continue;
-      for (const Value& e : seg.value.Elements()) ever.insert(e.AsOid());
-    }
+    std::vector<Oid> ever;
+    cls->member_postings().ForEach(
+        [&](Oid oid, std::span<const Interval>) { ever.push_back(oid); });
     for (Oid oid : ever) {
       auto [it, inserted] = hierarchy_of.emplace(oid, *h);
       if (!inserted && it->second != *h) {

@@ -22,6 +22,14 @@ uint64_t NextCowEpoch() {
 
 std::atomic<int64_t> g_live_databases{0};
 
+// The first (oid, slot) entry of an oid-sorted shard not below `id`.
+template <typename Slots>
+auto SlotLowerBound(Slots& slots, uint64_t id) {
+  return std::lower_bound(
+      slots.begin(), slots.end(), id,
+      [](const auto& entry, uint64_t key) { return entry.first < key; });
+}
+
 // Attribute names reserved for the class history record (Definition 4.1).
 bool IsReservedName(std::string_view name) {
   return name == "ext" || name == "proper-ext";
@@ -85,6 +93,30 @@ int64_t Database::live_instance_count() {
   return g_live_databases.load(std::memory_order_relaxed);
 }
 
+const Database::ObjectSlot* Database::ObjectShard::Find(uint64_t id) const {
+  auto it = SlotLowerBound(slots, id);
+  return it == slots.end() || it->first != id ? nullptr : &it->second;
+}
+
+Database::ObjectSlot* Database::ObjectShard::Find(uint64_t id) {
+  auto it = SlotLowerBound(slots, id);
+  return it == slots.end() || it->first != id ? nullptr : &it->second;
+}
+
+void Database::ObjectShard::Put(uint64_t id, ObjectSlot slot) {
+  auto it = SlotLowerBound(slots, id);
+  if (it != slots.end() && it->first == id) {
+    it->second = std::move(slot);
+  } else {
+    slots.emplace(it, id, std::move(slot));
+  }
+}
+
+void Database::ObjectShard::Erase(uint64_t id) {
+  auto it = SlotLowerBound(slots, id);
+  if (it != slots.end() && it->first == id) slots.erase(it);
+}
+
 Database::ClassTable& Database::MutableClassTable() {
   const uint64_t epoch = cow_epoch_.load(std::memory_order_relaxed);
   if (classes_->epoch != epoch) {
@@ -141,9 +173,9 @@ void Database::BuildIndex(const IndexDef& def) {
     for (const auto& [id, slot] : src->slots) {
       AppendIndexEntries(def, *slot.obj, Oid{id}, &part);
     }
-    // Shard iteration order is unordered; the sorted postings and the
-    // oid-keyed timeline map are order-independent, so a build is
-    // deterministic for given object state.
+    // The sorted postings and the oid-keyed timeline map are
+    // independent of shard iteration order, so a build is deterministic
+    // for given object state.
     std::sort(part.postings.begin(), part.postings.end(), IndexEntryLess);
   }
 }
@@ -423,7 +455,7 @@ Status Database::DropClass(std::string_view name) {
     return Status::FailedPrecondition("class " + std::string(name) +
                                       " is already deleted");
   }
-  if (!cls->ExtentAt(now()).empty()) {
+  if (cls->ExtentSizeAt(now()) != 0) {
     return Status::FailedPrecondition("class " + std::string(name) +
                                       " still has members");
   }
@@ -612,7 +644,7 @@ Result<Oid> Database::CreateObjectAt(std::string_view class_name,
   ++next_oid_;
   footprint_.oids.insert(oid.id);
   footprint_.oid_allocated = true;
-  MutableShard(oid.id).slots.emplace(
+  MutableShard(oid.id).Put(
       oid.id,
       ObjectSlot{std::move(obj), cow_epoch_.load(std::memory_order_relaxed)});
   ReindexOid(oid.id);
@@ -841,7 +873,7 @@ Status Database::QuarantineObject(Oid oid) {
   // Recovery surgery rewrites arbitrary extents: no per-slot footprint can
   // describe it, so it conflicts with everything.
   footprint_.all = true;
-  MutableShard(oid.id).slots.erase(oid.id);
+  MutableShard(oid.id).Erase(oid.id);
   for (const std::string& name : ClassNames()) {
     GetMutableClass(name)->ScrubFromExtents(oid);
   }
@@ -852,8 +884,8 @@ Status Database::QuarantineObject(Oid oid) {
 const Object* Database::GetObject(Oid oid) const {
   const ObjectShard* shard = objects_[ShardIndex(oid.id)].get();
   if (shard == nullptr) return nullptr;
-  auto it = shard->slots.find(oid.id);
-  return it == shard->slots.end() ? nullptr : it->second.obj.get();
+  const ObjectSlot* slot = shard->Find(oid.id);
+  return slot == nullptr ? nullptr : slot->obj.get();
 }
 
 Object* Database::GetMutableObject(Oid oid) {
@@ -861,7 +893,7 @@ Object* Database::GetMutableObject(Oid oid) {
   // clone it.
   if (GetObject(oid) == nullptr) return nullptr;
   const uint64_t epoch = cow_epoch_.load(std::memory_order_relaxed);
-  ObjectSlot& slot = MutableShard(oid.id).slots.find(oid.id)->second;
+  ObjectSlot& slot = *MutableShard(oid.id).Find(oid.id);
   if (slot.epoch != epoch) {
     slot.obj = std::make_shared<Object>(*slot.obj);
     slot.epoch = epoch;
@@ -904,6 +936,12 @@ std::vector<Oid> Database::Pi(std::string_view class_name,
   const ClassDef* cls = GetClass(class_name);
   if (cls == nullptr) return {};
   return cls->ExtentAt(ResolveInstant(t, now()));
+}
+
+size_t Database::PiCount(std::string_view class_name, TimePoint t) const {
+  const ClassDef* cls = GetClass(class_name);
+  if (cls == nullptr) return 0;
+  return cls->ExtentSizeAt(ResolveInstant(t, now()));
 }
 
 Result<const Type*> Database::StructuralTypeOf(
@@ -992,8 +1030,9 @@ std::vector<ClassDef*> Database::SelfAndSuperclasses(std::string_view name) {
 }
 
 Status Database::RestoreClass(const ClassSpec& effective_spec,
-                              const Interval& lifespan, TemporalFunction ext,
-                              TemporalFunction proper_ext,
+                              const Interval& lifespan,
+                              ExtentPostings members,
+                              ExtentPostings instances,
                               std::vector<Value::Field> c_attr_values) {
   if (classes_->map.count(effective_spec.name) != 0) {
     return Status::AlreadyExists("class " + effective_spec.name +
@@ -1024,8 +1063,8 @@ Status Database::RestoreClass(const ClassSpec& effective_spec,
                                 name + "' of class " + effective_spec.name);
     }
   }
-  TCH_RETURN_IF_ERROR(cls->RestoreState(lifespan, std::move(ext),
-                                        std::move(proper_ext),
+  TCH_RETURN_IF_ERROR(cls->RestoreState(lifespan, std::move(members),
+                                        std::move(instances),
                                         std::move(values)));
   MutableClassTable().map.emplace(
       effective_spec.name,
@@ -1048,7 +1087,7 @@ Status Database::RestoreObject(Oid oid, const Interval& lifespan,
   }
   footprint_.oids.insert(oid.id);
   footprint_.oid_allocated = true;
-  MutableShard(oid.id).slots.emplace(
+  MutableShard(oid.id).Put(
       oid.id,
       ObjectSlot{std::move(obj), cow_epoch_.load(std::memory_order_relaxed)});
   if (oid.id >= next_oid_) next_oid_ = oid.id + 1;
@@ -1062,7 +1101,8 @@ WriteFootprint Database::TakeFootprint() {
   return out;
 }
 
-void Database::AdoptChanges(const Database& src, const WriteFootprint& fp) {
+void Database::AdoptChanges(const Database& src, const Database& base,
+                            const WriteFootprint& fp) {
   if (fp.all || fp.schema_changed) {
     // Spine-level adoption. Validation admits schema transactions only
     // when no other commit intervened, so taking src's whole state is
@@ -1101,25 +1141,34 @@ void Database::AdoptChanges(const Database& src, const WriteFootprint& fp) {
   }
   for (const std::set<uint64_t>* ids : {&fp.oids, &fp.deleted_oids}) {
     for (uint64_t id : *ids) {
-      ObjectShard& shard = MutableShard(id);
-      const ObjectShard* src_shard = src.objects_[ShardIndex(id)].get();
-      const ObjectSlot* found = nullptr;
-      if (src_shard != nullptr) {
-        auto it = src_shard->slots.find(id);
-        if (it != src_shard->slots.end()) found = &it->second;
+      const size_t s = ShardIndex(id);
+      // A shard the tip still shares with `base` was written by no commit
+      // since: src's copy of it is that shard plus exactly this
+      // transaction's writes, so it is taken whole instead of cloned and
+      // patched slot by slot. (`base` keeps its shards alive, so pointer
+      // equality cannot be a recycled address.)
+      if (objects_[s] == base.objects_[s]) objects_[s] = src.objects_[s];
+      if (index_shards_[s] == base.index_shards_[s]) {
+        index_shards_[s] = src.index_shards_[s];
       }
-      if (found == nullptr) {
-        shard.slots.erase(id);  // erased in src (fp.all covers quarantine,
-                                // but stay defensive)
-      } else {
-        shard.slots[id] = ObjectSlot{found->obj, 0};
+      if (objects_[s] != src.objects_[s]) {
+        ObjectShard& shard = MutableShard(id);
+        const ObjectShard* src_shard = src.objects_[s].get();
+        const ObjectSlot* found =
+            src_shard == nullptr ? nullptr : src_shard->Find(id);
+        if (found == nullptr) {
+          shard.Erase(id);  // erased in src (fp.all covers quarantine,
+                            // but stay defensive)
+        } else {
+          shard.Put(id, ObjectSlot{found->obj, 0});
+        }
       }
       // Index entries are a pure function of the object's state, so
       // recomputing them here is equivalent to having run the
       // transaction's index maintenance on the tip directly — and an
       // index write whose underlying oid lost first-committer-wins never
       // reaches this point (validation aborted the commit).
-      ReindexOid(id);
+      if (index_shards_[s] != src.index_shards_[s]) ReindexOid(id);
     }
   }
 }

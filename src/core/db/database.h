@@ -32,7 +32,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -226,8 +225,10 @@ class Database final : public ExtentProvider {
 
   // --- Table 3 functions ----------------------------------------------------
 
-  // pi(c, t): the extent of class c at instant t.
+  // pi(c, t): the extent of class c at instant t, in ascending oid order.
   std::vector<Oid> Pi(std::string_view class_name, TimePoint t) const;
+  // |pi(c, t)|, without materializing the extent (planner estimates).
+  size_t PiCount(std::string_view class_name, TimePoint t) const;
   Result<const Type*> StructuralTypeOf(std::string_view class_name) const;
   Result<const Type*> HistoricalTypeOf(std::string_view class_name) const;
   Result<const Type*> StaticTypeOf(std::string_view class_name) const;
@@ -323,8 +324,8 @@ class Database final : public ExtentProvider {
   // members included) and whose state was captured by a serializer.
   // Superclasses must have been restored first.
   Status RestoreClass(const ClassSpec& effective_spec,
-                      const Interval& lifespan, TemporalFunction ext,
-                      TemporalFunction proper_ext,
+                      const Interval& lifespan, ExtentPostings members,
+                      ExtentPostings instances,
                       std::vector<Value::Field> c_attr_values);
   // Registers an object with raw state (no typing or extent side effects;
   // the serialized extents already contain it).
@@ -342,17 +343,19 @@ class Database final : public ExtentProvider {
   WriteFootprint TakeFootprint();
 
   // Adopts the slots listed in `fp` from `src` (a transaction-private COW
-  // copy of an ancestor of *this) into this database. Used by the
+  // copy of `base`, an ancestor of *this) into this database. Used by the
   // optimistic commit path after validation has established that no
   // concurrently committed transaction touched any of these slots, so
   // per-slot substitution is equivalent to having run the transaction on
-  // the tip directly. Adopted slots get epoch 0 (matches no Database), so
-  // this side re-clones them before its next in-place mutation. Schema or
-  // `all` footprints adopt the full spines (validation guarantees the tip
-  // has not advanced in that case). Deliberately does NOT record into
-  // this database's own footprint: the caller tracks the transaction's
-  // footprint separately.
-  void AdoptChanges(const Database& src, const WriteFootprint& fp);
+  // the tip directly; an object shard no commit has written since `base`
+  // is taken from `src` whole. Adopted slots get epoch 0 (matches no
+  // Database), so this side re-clones them before its next in-place
+  // mutation. Schema or `all` footprints adopt the full spines
+  // (validation guarantees the tip has not advanced in that case).
+  // Deliberately does NOT record into this database's own footprint: the
+  // caller tracks the transaction's footprint separately.
+  void AdoptChanges(const Database& src, const Database& base,
+                    const WriteFootprint& fp);
 
  private:
   // --- COW storage ---------------------------------------------------------
@@ -376,9 +379,18 @@ class Database final : public ExtentProvider {
     std::shared_ptr<Object> obj;
     uint64_t epoch = 0;
   };
+  // Slots sorted by oid in one vector: the clone a write transaction makes
+  // of every shard it touches is a single allocation, and creates (which
+  // hand out ascending oids) append.
   struct ObjectShard {
     uint64_t epoch = 0;
-    std::unordered_map<uint64_t, ObjectSlot> slots;
+    std::vector<std::pair<uint64_t, ObjectSlot>> slots;
+
+    const ObjectSlot* Find(uint64_t id) const;
+    ObjectSlot* Find(uint64_t id);
+    // Inserts or replaces the slot of `id`.
+    void Put(uint64_t id, ObjectSlot slot);
+    void Erase(uint64_t id);
   };
   static constexpr size_t kObjectShardCount = 64;
 

@@ -185,7 +185,7 @@ Result<uint64_t> VersionedDatabase::CommitTransaction(
   // which does not itself record into the tip's footprint.)
   WriteFootprint resident = tip_->TakeFootprint();
   WriteFootprint taken = txn->db_->TakeFootprint();
-  tip_->AdoptChanges(*txn->db_, taken);
+  tip_->AdoptChanges(*txn->db_, *txn->base_->db, taken);
   if (!resident.empty()) {
     taken.all |= resident.all;
     taken.schema_changed |= resident.schema_changed;

@@ -7,71 +7,6 @@
 namespace tchimera {
 namespace {
 
-// Adds/removes an oid in a set-valued temporal function over [t, now].
-// Unlike a plain AssertFrom (which would overwrite any changes recorded
-// after t), this splices per segment, so retroactive membership updates
-// preserve later history.
-Status UpdateOidSet(TemporalFunction* f, Oid oid, TimePoint t, bool add) {
-  Value needle = Value::OfOid(oid);
-  // Fast path: the change lands inside the final ongoing segment (every
-  // current-time create / migrate / delete does). Read-modify-assert is
-  // then an O(set) tail operation instead of a full segment-vector
-  // rebuild.
-  if (!f->empty()) {
-    const auto& last = f->segments().back();
-    if (last.interval.is_ongoing() && last.interval.start() <= t) {
-      std::vector<Value> elems;
-      if (last.value.kind() == ValueKind::kSet) {
-        elems = last.value.Elements();
-      }
-      auto it = std::find(elems.begin(), elems.end(), needle);
-      if (add == (it != elems.end())) return Status::OK();  // no change
-      if (add) {
-        elems.push_back(needle);
-      } else {
-        elems.erase(it);
-      }
-      return f->AssertFrom(t, Value::Set(std::move(elems)));
-    }
-  } else if (add) {
-    return f->AssertFrom(t, Value::Set({needle}));
-  }
-  std::vector<TemporalFunction::Segment> out;
-  TimePoint cursor = t;  // next instant of [t, +inf) not yet produced
-  bool tail_done = false;
-  for (const auto& seg : f->segments()) {
-    const Interval& iv = seg.interval;
-    if (iv.end() < t) {
-      out.push_back(seg);
-      continue;
-    }
-    // Part strictly before t is unchanged.
-    if (iv.start() < t) {
-      out.push_back({Interval(iv.start(), t - 1), seg.value});
-    }
-    TimePoint s = std::max(iv.start(), t);
-    // Gap [cursor, s-1] inside the update range: membership was empty.
-    if (add && cursor < s) {
-      out.push_back({Interval(cursor, s - 1), Value::Set({needle})});
-    }
-    // Overlapping part: modified set.
-    std::vector<Value> elems;
-    if (seg.value.kind() == ValueKind::kSet) elems = seg.value.Elements();
-    auto it = std::find(elems.begin(), elems.end(), needle);
-    if (add && it == elems.end()) elems.push_back(needle);
-    if (!add && it != elems.end()) elems.erase(it);
-    out.push_back({Interval(s, iv.end()), Value::Set(std::move(elems))});
-    if (IsNow(iv.end())) tail_done = true;
-    cursor = IsNow(iv.end()) ? kNow : iv.end() + 1;
-  }
-  // Tail [cursor, +inf) uncovered by any segment.
-  if (add && !tail_done) {
-    out.push_back({Interval(cursor, kNow), Value::Set({needle})});
-  }
-  TCH_ASSIGN_OR_RETURN(*f, TemporalFunction::Make(std::move(out)));
-  return Status::OK();
-}
-
 template <typename T>
 void SortByName(std::vector<T>* items) {
   std::sort(items->begin(), items->end(),
@@ -130,8 +65,8 @@ Value ClassDef::History() const {
   for (size_t i = 0; i < c_attributes_.size(); ++i) {
     fields.emplace_back(c_attributes_[i].name, c_attr_values_[i]);
   }
-  fields.emplace_back("ext", Value::Temporal(ext_));
-  fields.emplace_back("proper-ext", Value::Temporal(proper_ext_));
+  fields.emplace_back("ext", Value::Temporal(ext()));
+  fields.emplace_back("proper-ext", Value::Temporal(proper_ext()));
   // Field names are unique by construction ("ext"/"proper-ext" are
   // reserved and rejected as c-attribute names at definition time).
   Result<Value> record = Value::Record(std::move(fields));
@@ -211,69 +146,54 @@ const Type* ClassDef::StaticType() const {
 }
 
 std::vector<Oid> ClassDef::ExtentAt(TimePoint t) const {
-  std::vector<Oid> out;
-  const Value* v = ext_.At(t);
-  if (v != nullptr && v->kind() == ValueKind::kSet) {
-    for (const Value& e : v->Elements()) out.push_back(e.AsOid());
-  }
-  return out;
+  return members_.MembersAt(t);
 }
 
 std::vector<Oid> ClassDef::ProperExtentAt(TimePoint t) const {
-  std::vector<Oid> out;
-  const Value* v = proper_ext_.At(t);
-  if (v != nullptr && v->kind() == ValueKind::kSet) {
-    for (const Value& e : v->Elements()) out.push_back(e.AsOid());
-  }
-  return out;
+  return instances_.MembersAt(t);
+}
+
+size_t ClassDef::ExtentSizeAt(TimePoint t) const {
+  return members_.CountAt(t);
 }
 
 bool ClassDef::InExtentAt(Oid oid, TimePoint t) const {
-  const Value* v = ext_.At(t);
-  return v != nullptr && v->kind() == ValueKind::kSet &&
-         v->Contains(Value::OfOid(oid));
+  return members_.ContainsAt(oid, t);
 }
 
 bool ClassDef::InProperExtentAt(Oid oid, TimePoint t) const {
-  const Value* v = proper_ext_.At(t);
-  return v != nullptr && v->kind() == ValueKind::kSet &&
-         v->Contains(Value::OfOid(oid));
+  return instances_.ContainsAt(oid, t);
 }
 
 IntervalSet ClassDef::MemberIntervals(Oid oid, TimePoint current) const {
   std::vector<Interval> out;
-  Value needle = Value::OfOid(oid);
-  for (const auto& seg : ext_.segments()) {
-    if (seg.value.kind() == ValueKind::kSet && seg.value.Contains(needle)) {
-      Interval r = seg.interval.Resolve(current);
-      if (!r.empty()) out.push_back(r);
-    }
+  for (const Interval& iv : members_.IntervalsOf(oid)) {
+    Interval r = iv.Resolve(current);
+    if (!r.empty()) out.push_back(r);
   }
   return IntervalSet(std::move(out));
 }
 
 IntervalSet ClassDef::RawMemberIntervals(Oid oid) const {
-  std::vector<Interval> out;
-  Value needle = Value::OfOid(oid);
-  for (const auto& seg : ext_.segments()) {
-    if (seg.value.kind() == ValueKind::kSet && seg.value.Contains(needle)) {
-      out.push_back(seg.interval);
-    }
-  }
-  return IntervalSet(std::move(out));
+  std::span<const Interval> posting = members_.IntervalsOf(oid);
+  return IntervalSet(std::vector<Interval>(posting.begin(), posting.end()));
 }
 
 Status ClassDef::AddMember(Oid oid, TimePoint t) {
-  return UpdateOidSet(&ext_, oid, t, /*add=*/true);
+  members_.AddFrom(oid, t);
+  return Status::OK();
 }
 Status ClassDef::RemoveMember(Oid oid, TimePoint t) {
-  return UpdateOidSet(&ext_, oid, t, /*add=*/false);
+  members_.RemoveFrom(oid, t);
+  return Status::OK();
 }
 Status ClassDef::AddInstance(Oid oid, TimePoint t) {
-  return UpdateOidSet(&proper_ext_, oid, t, /*add=*/true);
+  instances_.AddFrom(oid, t);
+  return Status::OK();
 }
 Status ClassDef::RemoveInstance(Oid oid, TimePoint t) {
-  return UpdateOidSet(&proper_ext_, oid, t, /*add=*/false);
+  instances_.RemoveFrom(oid, t);
+  return Status::OK();
 }
 
 Result<Value> ClassDef::CAttributeValue(std::string_view name) const {
@@ -303,8 +223,9 @@ Status ClassDef::SetCAttribute(std::string_view name, Value v, TimePoint t) {
                           std::string(name) + "'");
 }
 
-Status ClassDef::RestoreState(const Interval& lifespan, TemporalFunction ext,
-                              TemporalFunction proper_ext,
+Status ClassDef::RestoreState(const Interval& lifespan,
+                              ExtentPostings members,
+                              ExtentPostings instances,
                               std::vector<Value> c_attr_values) {
   if (c_attr_values.size() != c_attributes_.size()) {
     return Status::Corruption(
@@ -313,44 +234,15 @@ Status ClassDef::RestoreState(const Interval& lifespan, TemporalFunction ext,
         std::to_string(c_attributes_.size()) + " c-attributes");
   }
   lifespan_ = lifespan;
-  ext_ = std::move(ext);
-  proper_ext_ = std::move(proper_ext);
+  members_ = std::move(members);
+  instances_ = std::move(instances);
   c_attr_values_ = std::move(c_attr_values);
   return Status::OK();
 }
 
-namespace {
-
-// Rebuilds `f` with `oid` removed from every set-valued segment.
-TemporalFunction WithoutOid(const TemporalFunction& f, Oid oid) {
-  const Value target = Value::OfOid(oid);
-  std::vector<TemporalFunction::Segment> segments;
-  segments.reserve(f.segment_count());
-  for (const TemporalFunction::Segment& seg : f.segments()) {
-    if (seg.value.kind() != ValueKind::kSet) {
-      segments.push_back(seg);
-      continue;
-    }
-    std::vector<Value> kept;
-    kept.reserve(seg.value.Elements().size());
-    for (const Value& e : seg.value.Elements()) {
-      if (!(e == target)) kept.push_back(e);
-    }
-    if (kept.empty()) continue;  // empty pieces leave the domain entirely
-    segments.push_back({seg.interval, Value::Set(std::move(kept))});
-  }
-  // The segments came from a valid function, so they stay disjoint and
-  // Make cannot fail; fall back to the original defensively.
-  Result<TemporalFunction> rebuilt =
-      TemporalFunction::Make(std::move(segments));
-  return rebuilt.ok() ? *std::move(rebuilt) : f;
-}
-
-}  // namespace
-
 void ClassDef::ScrubFromExtents(Oid oid) {
-  ext_ = WithoutOid(ext_, oid);
-  proper_ext_ = WithoutOid(proper_ext_, oid);
+  members_.Erase(oid);
+  instances_.Erase(oid);
 }
 
 Status ClassDef::CloseLifespan(TimePoint t) {
@@ -363,8 +255,8 @@ Status ClassDef::CloseLifespan(TimePoint t) {
                                  " before its creation");
   }
   lifespan_ = Interval(lifespan_.start(), t);
-  ext_.CloseAt(t);
-  proper_ext_.CloseAt(t);
+  members_.CloseAt(t);
+  instances_.CloseAt(t);
   return Status::OK();
 }
 

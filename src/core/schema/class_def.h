@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/schema/extent_postings.h"
 #include "core/temporal/interval.h"
 #include "core/types/type.h"
 #include "core/values/temporal_function.h"
@@ -131,15 +132,23 @@ class ClassDef {
 
   // --- extent history and c-attribute values (mutated by the database) ---
 
-  // E(t): members over time (sets of oids).
-  const TemporalFunction& ext() const { return ext_; }
+  // The extents as stored: one interval posting per oid (see
+  // extent_postings.h).
+  const ExtentPostings& member_postings() const { return members_; }
+  const ExtentPostings& instance_postings() const { return instances_; }
+  // E(t): members over time (sets of oids), built from the postings;
+  // defined at exactly the instants the class has a member.
+  TemporalFunction ext() const { return members_.ToSetHistory(); }
   // PE(t): instances over time; PE(t) subset of E(t) always.
-  const TemporalFunction& proper_ext() const { return proper_ext_; }
+  TemporalFunction proper_ext() const { return instances_.ToSetHistory(); }
 
-  // pi(c, t) as stored in this class: the member oids at instant t.
-  // (Function pi of Table 3 is pi(c,t) = C.history.ext(t).)
+  // pi(c, t) as stored in this class: the member oids at instant t, in
+  // ascending order. (Function pi of Table 3 is pi(c,t) =
+  // C.history.ext(t).)
   std::vector<Oid> ExtentAt(TimePoint t) const;
   std::vector<Oid> ProperExtentAt(TimePoint t) const;
+  // |pi(c, t)| without materializing the extent.
+  size_t ExtentSizeAt(TimePoint t) const;
   bool InExtentAt(Oid oid, TimePoint t) const;
   bool InProperExtentAt(Oid oid, TimePoint t) const;
   // All instants at which `oid` is a member: the basis of c_lifespan.
@@ -170,14 +179,14 @@ class ClassDef {
 
   // Restores raw state from persistent storage (storage layer only; no
   // validation beyond c-attribute count).
-  Status RestoreState(const Interval& lifespan, TemporalFunction ext,
-                      TemporalFunction proper_ext,
+  Status RestoreState(const Interval& lifespan, ExtentPostings members,
+                      ExtentPostings instances,
                       std::vector<Value> c_attr_values);
 
-  // Removes every trace of `oid` from ext / proper-ext, at all instants
-  // (segments whose member set becomes empty are dropped). Not a model
-  // operation: recovery-only surgery used when quarantining an object
-  // that failed the post-recovery audit (see storage/recovery.h).
+  // Removes every trace of `oid` from ext / proper-ext, at all instants.
+  // Not a model operation: recovery-only surgery used when quarantining
+  // an object that failed the post-recovery audit (see
+  // storage/recovery.h).
   void ScrubFromExtents(Oid oid);
 
  private:
@@ -191,8 +200,8 @@ class ClassDef {
   std::string metaclass_;
 
   std::vector<Value> c_attr_values_;  // parallel to c_attributes_
-  TemporalFunction ext_;
-  TemporalFunction proper_ext_;
+  ExtentPostings members_;    // ext
+  ExtentPostings instances_;  // proper-ext
 };
 
 }  // namespace tchimera

@@ -674,7 +674,7 @@ void PlanAccessPath(const SelectStmt& s, const Database& db,
   }
   const TimePoint at =
       s.at.has_value() ? ResolveInstant(*s.at, db.now()) : db.now();
-  prog->est_extent_rows = db.Pi(prog->class_name, at).size();
+  prog->est_extent_rows = db.PiCount(prog->class_name, at);
   prog->est_index_rows =
       db.IndexProbeEstimate(def->name, ProbeOpOf(leaf.op), *leaf.bound);
   // Below this, the per-candidate extent-membership checks and the probe

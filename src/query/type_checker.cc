@@ -18,18 +18,22 @@ Status TypeErrorAt(const Expr& e, const std::string& what) {
   return Status::TypeError(what + " (in '" + e.ToString() + "')");
 }
 
+// With `annotate`, records each node's type in its `inferred` field; the
+// const_cast is sound because only TypeCheckExpr, which holds a mutable
+// AST, asks for annotations.
 class Checker {
  public:
-  Checker(const Database& db, const TypeEnv& env) : db_(db), env_(env) {}
+  Checker(const Database& db, const TypeEnv& env, bool annotate)
+      : db_(db), env_(env), annotate_(annotate) {}
 
-  Result<const Type*> Check(Expr* e) {
+  Result<const Type*> Check(const Expr* e) {
     TCH_ASSIGN_OR_RETURN(const Type* t, CheckNode(e));
-    e->inferred = t;
+    if (annotate_) const_cast<Expr*>(e)->inferred = t;
     return t;
   }
 
  private:
-  Result<const Type*> CheckNode(Expr* e) {
+  Result<const Type*> CheckNode(const Expr* e) {
     switch (e->kind) {
       case ExprKind::kLiteral:
         // Literals are closed values; the value typing rules apply
@@ -86,7 +90,7 @@ class Checker {
     return Status::Internal("unhandled expression kind");
   }
 
-  Result<const Type*> CheckAttrAccess(Expr* e) {
+  Result<const Type*> CheckAttrAccess(const Expr* e) {
     TCH_ASSIGN_OR_RETURN(const Type* base_t, Check(e->base.get()));
     if (base_t->kind() != TypeKind::kObject) {
       return TypeErrorAt(*e, "attribute access on non-object type " +
@@ -114,7 +118,7 @@ class Checker {
     return attr->type;
   }
 
-  Result<const Type*> CheckBinary(Expr* e) {
+  Result<const Type*> CheckBinary(const Expr* e) {
     TCH_ASSIGN_OR_RETURN(const Type* lt, Check(e->base.get()));
     TCH_ASSIGN_OR_RETURN(const Type* rt, Check(e->rhs.get()));
     switch (e->op) {
@@ -175,7 +179,7 @@ class Checker {
     return Status::Internal("unhandled binary op");
   }
 
-  Result<const Type*> CheckCall(Expr* e) {
+  Result<const Type*> CheckCall(const Expr* e) {
     const std::string& fn = e->name;
     if (fn == "size") {
       if (e->args.size() != 1) {
@@ -252,13 +256,19 @@ class Checker {
 
   const Database& db_;
   const TypeEnv& env_;
+  const bool annotate_;
 };
 
 }  // namespace
 
 Result<const Type*> TypeCheckExpr(Expr* expr, const Database& db,
                                   const TypeEnv& env) {
-  return Checker(db, env).Check(expr);
+  return Checker(db, env, /*annotate=*/true).Check(expr);
+}
+
+Result<const Type*> TypeOfExpr(const Expr& expr, const Database& db,
+                               const TypeEnv& env) {
+  return Checker(db, env, /*annotate=*/false).Check(&expr);
 }
 
 Result<std::vector<const Type*>> TypeCheckSelect(SelectStmt* stmt,

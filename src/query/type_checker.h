@@ -35,6 +35,11 @@ using TypeEnv = std::map<std::string, std::string, std::less<>>;
 // every node's `inferred` type. Returns the expression's type.
 Result<const Type*> TypeCheckExpr(Expr* expr, const Database& db,
                                   const TypeEnv& env);
+// The same check without annotating: `expr` is left untouched, so it is
+// safe on an AST that other threads read or check at the same time (a
+// constraint condition in the database's shared DefinitionSet).
+Result<const Type*> TypeOfExpr(const Expr& expr, const Database& db,
+                               const TypeEnv& env);
 
 // Checks a whole SELECT statement: binder, projections and WHERE (which
 // must be bool). Returns the projection types.

@@ -127,6 +127,40 @@ class SnapshotReader {
     return Interval(parse_instant(parts[0]), parse_instant(parts[1]));
   }
 
+  // v5 postings: "<oid>:[a,b][c,d] <oid>:[e,now] ..." (empty: no member
+  // ever). Well-formedness (oid order, disjoint sorted intervals) is
+  // checked by FromPostings.
+  Result<ExtentPostings> ParsePostings(const std::string& text) {
+    std::vector<ExtentPostings::Posting> postings;
+    for (const std::string& token : Split(text, ' ')) {
+      if (token.empty()) continue;
+      size_t colon = token.find(':');
+      char* end = nullptr;
+      uint64_t id = std::strtoull(token.c_str(), &end, 10);
+      if (colon == std::string::npos || colon == 0 ||
+          end != token.c_str() + colon) {
+        return Corrupt(line_no_, "bad extent posting '" + token + "'");
+      }
+      ExtentPostings::Posting posting{Oid{id}, {}};
+      size_t pos = colon + 1;
+      while (pos < token.size()) {
+        size_t close = token.find(']', pos);
+        if (close == std::string::npos) {
+          return Corrupt(line_no_, "bad extent posting '" + token + "'");
+        }
+        TCH_ASSIGN_OR_RETURN(
+            Interval iv,
+            ParseIntervalText(token.substr(pos, close + 1 - pos)));
+        posting.intervals.push_back(iv);
+        pos = close + 1;
+      }
+      postings.push_back(std::move(posting));
+    }
+    Result<ExtentPostings> out = ExtentPostings::FromPostings(postings);
+    if (!out.ok()) return Corrupt(line_no_, out.status().message());
+    return out;
+  }
+
   Result<TemporalFunction> ParseTemporalText(const std::string& text,
                                              const Type* hint) {
     TCH_ASSIGN_OR_RETURN(Value v, ParseValue(text, hint));
@@ -168,7 +202,7 @@ class SnapshotReader {
     ClassSpec spec;
     spec.name = name;
     Interval lifespan;
-    TemporalFunction ext, pext;
+    ExtentPostings ext, pext;
     std::vector<Value::Field> c_values;
     while (true) {
       TCH_ASSIGN_OR_RETURN(std::string line, NextLine());
@@ -201,11 +235,18 @@ class SnapshotReader {
         TCH_ASSIGN_OR_RETURN(Value v, ParseValue(value_text, hint));
         c_values.emplace_back(attr_name, std::move(v));
       } else if (tag == "EXT" || tag == "PEXT") {
-        const Type* hint =
-            types::Temporal(types::SetOf(types::Any())).value();
-        TCH_ASSIGN_OR_RETURN(TemporalFunction f,
-                             ParseTemporalText(rest, hint));
-        (tag == "EXT" ? ext : pext) = std::move(f);
+        ExtentPostings postings;
+        if (version_ >= 5) {
+          TCH_ASSIGN_OR_RETURN(postings, ParsePostings(rest));
+        } else {
+          // v1-v4 store the extent as a set-valued temporal function.
+          const Type* hint =
+              types::Temporal(types::SetOf(types::Any())).value();
+          TCH_ASSIGN_OR_RETURN(TemporalFunction f,
+                               ParseTemporalText(rest, hint));
+          postings = ExtentPostings::FromSetHistory(f);
+        }
+        (tag == "EXT" ? ext : pext) = std::move(postings);
       } else {
         return Corrupt(line_no_, "unexpected class record '" + tag + "'");
       }
@@ -324,6 +365,8 @@ Result<SnapshotInfo> ProbeSnapshot(const std::string& text) {
     info.version = 3;
   } else if (version_text == "4") {
     info.version = 4;
+  } else if (version_text == "5") {
+    info.version = 5;
   } else {
     info.integrity = Status::Corruption("unsupported snapshot version '" +
                                         version_text + "'");

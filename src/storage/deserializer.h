@@ -15,7 +15,7 @@ namespace tchimera {
 
 // Structural metadata of a snapshot, read without parsing any record.
 struct SnapshotInfo {
-  int version = 0;      // 1 to 4
+  int version = 0;      // 1 to 5
   uint64_t epoch = 0;   // v2+ only; v1 snapshots are epoch 0
   size_t records = 0;   // CLASS+OBJECT count from the v2+ footer
   uint64_t byte_size = 0;

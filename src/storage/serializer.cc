@@ -48,8 +48,9 @@ void WriteClass(const Database& db, const ClassDef& cls, std::ostream* out) {
       *out << "CATTRVAL " << a.name << " " << v->ToString() << "\n";
     }
   }
-  *out << "EXT " << cls.ext().ToString() << "\n";
-  *out << "PEXT " << cls.proper_ext().ToString() << "\n";
+  // v5: the extents as interval postings, "<oid>:[a,b][c,now] ...".
+  *out << "EXT " << cls.member_postings().ToString() << "\n";
+  *out << "PEXT " << cls.instance_postings().ToString() << "\n";
   *out << "END\n";
   (void)db;
 }
@@ -73,7 +74,7 @@ void WriteObject(const Object& obj, std::ostream* out) {
 // reports the CLASS+OBJECT record count.
 Status SaveDatabaseBody(const Database& db, std::ostream* out,
                         uint64_t epoch, size_t* records) {
-  *out << "TCHIMERA-SNAPSHOT 4\n";
+  *out << "TCHIMERA-SNAPSHOT 5\n";
   *out << "EPOCH " << epoch << "\n";
   *out << "NOW " << db.now() << "\n";
   // Emit classes in an ISA-respecting order: repeatedly flush classes

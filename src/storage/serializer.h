@@ -6,7 +6,7 @@
 // Format sketch (one record per line; values/types in their canonical
 // textual syntax, which never contains newlines):
 //
-//   TCHIMERA-SNAPSHOT 4
+//   TCHIMERA-SNAPSHOT 5
 //   EPOCH <e>
 //   NOW <t>
 //   CLASS <name>
@@ -17,8 +17,8 @@
 //   CATTR <name> <type>
 //   CMETHOD <name> <in1,in2|-> <out>
 //   CATTRVAL <name> <value>
-//   EXT <temporal-value>
-//   PEXT <temporal-value>
+//   EXT <postings>
+//   PEXT <postings>
 //   END
 //   OBJECT <oid> [a,b]
 //   CLASSHIST <temporal-value>
@@ -49,6 +49,13 @@
 // rebuilt deterministically on restore (docs/INDEXING.md). Like DEFINE,
 // INDEX records are excluded from the footer's record count.
 //
+// v5 writes each extent (EXT: members, PEXT: instances) as its interval
+// postings (core/schema/extent_postings.h), ascending by oid:
+// "<oid>:[a,b][c,now] <oid>:[e,now] ...", empty when the class never had
+// a member. v1-v4 wrote a set-valued temporal function instead
+// ("{<[a,b],{i1,i2}>,...}", one full member set per stretch); loading one
+// converts it to postings.
+//
 // Classes are emitted in topological (ISA) order so restore never sees a
 // dangling superclass.
 #ifndef TCHIMERA_STORAGE_SERIALIZER_H_
@@ -64,7 +71,7 @@
 
 namespace tchimera {
 
-// Writes a full v4 snapshot of `db` (footer included). A definition
+// Writes a full v5 snapshot of `db` (footer included). A definition
 // statement containing a newline (a trigger action written across lines)
 // cannot be a DEFINE record and fails with InvalidArgument.
 Status SaveDatabase(const Database& db, std::ostream* out,

@@ -307,19 +307,25 @@ TEST(SchemaAnalyzer, LiveSuperclassHasNoTC012) {
   EXPECT_NO_CODE(diags.diagnostics(), "TC012");
 }
 
+// An extent whose one member, i1, belongs over [from, to].
+ExtentPostings MemberOver(TimePoint from, TimePoint to) {
+  ExtentPostings ext;
+  ext.AddFrom(Oid{1}, from);
+  ext.RemoveFrom(Oid{1}, to + 1);
+  return ext;
+}
+
 TEST(SchemaAnalyzer, ExtentOutsideOwnLifespanReportedTC012) {
   // Hand-restored state (RestoreClass bypasses the dynamic validation,
-  // like a corrupt or hand-edited snapshot would): ext defined over
-  // [0,20] while the class lifespan is [5,10] — Invariant 5.1 violated.
+  // like a corrupt or hand-edited snapshot would): a member over [0,20]
+  // while the class lifespan is [5,10] — Invariant 5.1 violated.
   Database db;
   db.Tick(30);
   ClassSpec spec;
   spec.name = "person";
-  TemporalFunction ext;
-  ASSERT_TRUE(ext.Define(Interval(0, 20), Value::EmptySet()).ok());
-  ASSERT_TRUE(
-      db.RestoreClass(spec, Interval(5, 10), ext, TemporalFunction(), {})
-          .ok());
+  ASSERT_TRUE(db.RestoreClass(spec, Interval(5, 10), MemberOver(0, 20),
+                              ExtentPostings(), {})
+                  .ok());
 
   DiagnosticEngine diags;
   AnalyzeSchema({}, &db, &diags);
@@ -334,19 +340,15 @@ TEST(SchemaAnalyzer, ExtentOutsideSuperclassLifespanReportedTC012) {
   db.Tick(30);
   ClassSpec super_spec;
   super_spec.name = "person";
-  TemporalFunction super_ext;
-  ASSERT_TRUE(super_ext.Define(Interval(0, 5), Value::EmptySet()).ok());
-  ASSERT_TRUE(db.RestoreClass(super_spec, Interval(0, 5), super_ext,
-                              TemporalFunction(), {})
+  ASSERT_TRUE(db.RestoreClass(super_spec, Interval(0, 5), MemberOver(0, 5),
+                              ExtentPostings(), {})
                   .ok());
 
   ClassSpec sub_spec;
   sub_spec.name = "employee";
   sub_spec.superclasses = {"person"};
-  TemporalFunction sub_ext;
-  ASSERT_TRUE(sub_ext.Define(Interval(0, 20), Value::EmptySet()).ok());
-  ASSERT_TRUE(db.RestoreClass(sub_spec, Interval(0, 20), sub_ext,
-                              TemporalFunction(), {})
+  ASSERT_TRUE(db.RestoreClass(sub_spec, Interval(0, 20), MemberOver(0, 20),
+                              ExtentPostings(), {})
                   .ok());
 
   DiagnosticEngine diags;

@@ -3,7 +3,11 @@
 // evaluation over histories, and the registry.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "constraints/constraint.h"
+#include "query/session.h"
 #include "workload/project_schema.h"
 
 namespace tchimera {
@@ -169,6 +173,46 @@ TEST_F(ConstraintTest, RegistryCollectsAllViolations) {
   ASSERT_TRUE(registry.Drop("nm").ok());
   EXPECT_TRUE(registry.CheckAll(db_).ok());
   EXPECT_FALSE(registry.Drop("ghost").ok());
+}
+
+// Sessions running `check` at the same time evaluate the same constraint
+// definition: its condition AST lives once in the shared definition set.
+// Checking it must only read that AST (under TSan a write to the nodes'
+// type annotations from two threads is a reported race).
+TEST(ConstraintConcurrencyTest, ConcurrentChecksShareTheCondition) {
+  Engine engine;
+  ASSERT_TRUE(InstallProjectSchema(&engine.writer_db()).ok());
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(engine.writer_db()
+                    .CreateObject("employee",
+                                  {{"name", Value::String("e")},
+                                   {"birthyear", I(1970)},
+                                   {"salary", I(1000 + i)},
+                                   {"office", Value::String("A1")}})
+                    .ok());
+  }
+  Session setup = engine.OpenSession();
+  ASSERT_TRUE(
+      setup.Execute("constraint pos on employee always x.salary > 0").ok());
+
+  constexpr int kSessions = 2;
+  constexpr int kChecks = 40;
+  std::vector<int> held(kSessions, 0);
+  std::vector<std::thread> threads;
+  for (int s = 0; s < kSessions; ++s) {
+    threads.emplace_back([&engine, &held, s] {
+      Session session = engine.OpenSession();
+      for (int i = 0; i < kChecks; ++i) {
+        Result<std::string> r = session.Execute("check");
+        if (r.ok() &&
+            *r == "consistent (and 1 temporal constraints hold)") {
+          ++held[s];
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int s = 0; s < kSessions; ++s) EXPECT_EQ(held[s], kChecks);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "core/values/value.h"
 #include "query/interpreter.h"
 #include "query/session.h"
+#include "snapshot_test_util.h"
 #include "storage/deserializer.h"
 #include "storage/group_commit.h"
 #include "storage/journal.h"
@@ -660,7 +661,9 @@ TEST(BackCompatTest, V1SnapshotStillLoads) {
   for (size_t i = 0; i < kCheckpointBefore; ++i) {
     ASSERT_TRUE(interp.Execute(Workload()[i]).ok());
   }
-  std::string v2 = SaveDatabaseToString(db, 5).value();
+  // Extents in the v1-v4 syntax (set histories).
+  std::string v2 =
+      WithSetHistoryExtents(SaveDatabaseToString(db, 5).value(), db);
 
   // Shape the v2 text into its v1 equivalent: version 1 header, no EPOCH
   // line, no CHECKSUM line.

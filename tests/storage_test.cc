@@ -9,6 +9,7 @@
 #include "common/crc32.h"
 #include "core/db/consistency.h"
 #include "core/db/equality.h"
+#include "snapshot_test_util.h"
 #include "storage/deserializer.h"
 #include "storage/journal.h"
 #include "storage/recovery.h"
@@ -68,6 +69,59 @@ TEST(SerializerTest, SnapshotRoundTripsExactly) {
   // The restored database passes the full consistency check.
   Status s = CheckDatabaseConsistency(**loaded);
   EXPECT_TRUE(s.ok()) << s;
+}
+
+TEST(SerializerTest, V4SetHistoryExtentsLoadAsPostings) {
+  // A v4 writer stored each extent as a set-valued temporal function,
+  // including stretches with no member ("{}"); v5 stores interval
+  // postings. Extent parsing only: the objects' class histories are left
+  // out.
+  const std::string v4 = Reseal(
+      "TCHIMERA-SNAPSHOT 4\n"
+      "EPOCH 0\n"
+      "NOW 12\n"
+      "CLASS person\n"
+      "SUPERS -\n"
+      "LIFESPAN [0,now]\n"
+      "EXT {<[2,4],{i1}>,<[5,7],{}>,<[8,9],{i1,i2}>,<[10,now],{i2}>}\n"
+      "PEXT {<[2,3],{i1}>,<[4,4],{i1}>,<[8,now],{i2}>}\n"
+      "END\n"
+      "OBJECT 1 [2,9]\n"
+      "END\n"
+      "OBJECT 2 [8,now]\n"
+      "END\n"
+      "NEXT-OID 3\n"
+      "CHECKSUM 3 00000000\nEOF\n");
+  Result<std::unique_ptr<Database>> loaded = LoadDatabaseFromString(v4);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const Database& db = **loaded;
+  EXPECT_EQ(db.Pi("person", 3), std::vector<Oid>{Oid{1}});
+  EXPECT_TRUE(db.Pi("person", 6).empty());
+  EXPECT_EQ(db.Pi("person", 9), (std::vector<Oid>{Oid{1}, Oid{2}}));
+  EXPECT_EQ(db.Pi("person", 11), std::vector<Oid>{Oid{2}});
+  EXPECT_EQ(db.MLifespan(Oid{1}, "person").value().ToString(),
+            "{[2,4],[8,9]}");
+  const ClassDef* person = db.GetClass("person");
+  EXPECT_EQ(person->member_postings().ToString(), "1:[2,4][8,9] 2:[8,now]");
+  EXPECT_EQ(person->instance_postings().ToString(), "1:[2,4] 2:[8,now]");
+  // Written back as v5 postings; the empty stretch leaves the function.
+  const std::string v5 = SaveDatabaseToString(db).value();
+  EXPECT_EQ(v5.rfind("TCHIMERA-SNAPSHOT 5\n", 0), 0u);
+  EXPECT_NE(v5.find("\nEXT 1:[2,4][8,9] 2:[8,now]\n"), std::string::npos);
+  EXPECT_EQ(person->ext().ToString(),
+            "{<[2,4],{i1}>,<[8,9],{i1,i2}>,<[10,now],{i2}>}");
+
+  // Malformed v5 postings are corruption.
+  for (const char* bad : {"EXT 2:[0,now] 1:[0,now]", "EXT 1:[0,4][5,now]",
+                          "EXT 1:", "EXT x:[0,now]", "EXT 1:[0,now"}) {
+    std::string text = v5;
+    const size_t at = text.find("\nEXT ") + 1;
+    text.replace(at, text.find('\n', at) - at, bad);
+    Result<std::unique_ptr<Database>> r =
+        LoadDatabaseFromString(Reseal(text));
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << bad;
+  }
 }
 
 TEST(SerializerTest, FileRoundTrip) {
@@ -320,18 +374,6 @@ TEST(JournalTest, ReplayFailsFastOnBadStatement) {
 
 // --- v3 snapshots: DEFINE records for trigger/constraint definitions ---
 
-// Recomputes the footer of snapshot text whose body was edited by hand,
-// keeping the footer's CLASS+OBJECT record count.
-std::string Reseal(const std::string& text) {
-  size_t chk = text.find("CHECKSUM ");
-  EXPECT_NE(chk, std::string::npos);
-  std::string body = text.substr(0, chk);
-  size_t count_end = text.find(' ', chk + 9);
-  std::string records = text.substr(chk + 9, count_end - chk - 9);
-  return body + "CHECKSUM " + records + " " + Crc32Hex(Crc32(body)) +
-         "\nEOF\n";
-}
-
 TEST(SerializerTest, V3SnapshotCarriesDefinitions) {
   Database db;
   Populate(&db, 19);
@@ -343,13 +385,13 @@ TEST(SerializerTest, V3SnapshotCarriesDefinitions) {
   ASSERT_TRUE(active.Execute(defs[1]).ok());
   ASSERT_TRUE(active.Execute(defs[0]).ok());
   std::string text = SaveDatabaseToString(db, 4).value();
-  EXPECT_EQ(text.rfind("TCHIMERA-SNAPSHOT 4", 0), 0u);
+  EXPECT_EQ(text.rfind("TCHIMERA-SNAPSHOT 5", 0), 0u);
   EXPECT_NE(text.find("DEFINE " + defs[0] + "\nDEFINE " + defs[1] + "\n"),
             std::string::npos);
 
   Result<SnapshotInfo> info = ProbeSnapshot(text);
   ASSERT_TRUE(info.ok()) << info.status();
-  EXPECT_EQ(info->version, 4);
+  EXPECT_EQ(info->version, 5);
   EXPECT_EQ(info->epoch, 4u);
   EXPECT_TRUE(info->integrity.ok()) << info->integrity;
 
@@ -472,7 +514,9 @@ TEST(SerializerTest, V2SnapshotStillLoads) {
   ASSERT_TRUE(ActiveDatabase(&db)
                   .Execute("constraint c on employee always x.salary > 0")
                   .ok());
-  std::string v3 = SaveDatabaseToString(db, 6).value();
+  // A v3 snapshot: extents as set histories, DEFINE records.
+  std::string v3 =
+      WithSetHistoryExtents(SaveDatabaseToString(db, 6).value(), db);
 
   // Shape the v3 text into its v2 equivalent: version 2 header, no DEFINE
   // lines, checksum recomputed over the altered body (DEFINE lines never
