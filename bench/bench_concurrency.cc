@@ -25,6 +25,7 @@
 #include "storage/group_commit.h"
 #include "storage/journal.h"
 #include "workload/generator.h"
+#include "report.h"
 
 namespace tchimera {
 namespace {
@@ -536,55 +537,17 @@ int WriteConcurrencyReport(const std::string& path) {
   json += buf;
   json += "}\n";
 
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s (disjoint 4-writer speedup: %.2fx)\n%s",
-               path.c_str(), speedup4, json.c_str());
-  return 0;
+  std::snprintf(buf, sizeof(buf), " (disjoint 4-writer speedup: %.2fx)",
+                speedup4);
+  return WriteReport(path, json, buf);
 }
 
 }  // namespace
 }  // namespace tchimera
 
 // Custom main: the google-benchmark suite as usual, plus the
-// machine-readable multi-writer report.
-//   --json[=PATH]  write BENCH_concurrency.json (or PATH) after the suite
-//   --json-only    skip the google-benchmark suite (the CI artifact path)
+// machine-readable multi-writer report (flags: bench/report.h).
 int main(int argc, char** argv) {
-  std::string json_path;
-  bool json_only = false;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json-only") {
-      json_only = true;
-      if (json_path.empty()) json_path = "BENCH_concurrency.json";
-    } else if (arg == "--json") {
-      json_path = "BENCH_concurrency.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  if (!json_only) {
-    int bench_argc = static_cast<int>(passthrough.size());
-    benchmark::Initialize(&bench_argc, passthrough.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                               passthrough.data())) {
-      return 1;
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-  }
-  if (!json_path.empty()) {
-    return tchimera::WriteConcurrencyReport(json_path);
-  }
-  return 0;
+  return tchimera::RunBenchMain(argc, argv, "BENCH_concurrency.json",
+                                tchimera::WriteConcurrencyReport);
 }

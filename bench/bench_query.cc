@@ -24,6 +24,7 @@
 #include "query/type_checker.h"
 #include "query/vm.h"
 #include "workload/generator.h"
+#include "report.h"
 
 namespace tchimera {
 namespace {
@@ -522,58 +523,19 @@ int WriteQueryReport(const std::string& path) {
   json += buf;
   json += "}\n";
 
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::fprintf(stderr,
-               "wrote %s (min history-sweep speedup: %.2fx, "
-               "index speedup at max size: %.2fx)\n%s",
-               path.c_str(), min_history_speedup, index_speedup_at_max,
-               json.c_str());
-  return 0;
+  std::snprintf(buf, sizeof(buf),
+                " (min history-sweep speedup: %.2fx, "
+                "index speedup at max size: %.2fx)",
+                min_history_speedup, index_speedup_at_max);
+  return WriteReport(path, json, buf);
 }
 
 }  // namespace
 }  // namespace tchimera
 
 // Custom main: the google-benchmark suite as usual, plus the
-// machine-readable compiled-vs-interpreted report.
-//   --json[=PATH]  write BENCH_query.json (or PATH) after the suite
-//   --json-only    skip the google-benchmark suite (the CI artifact path)
+// machine-readable compiled-vs-interpreted report (flags: bench/report.h).
 int main(int argc, char** argv) {
-  std::string json_path;
-  bool json_only = false;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json-only") {
-      json_only = true;
-      if (json_path.empty()) json_path = "BENCH_query.json";
-    } else if (arg == "--json") {
-      json_path = "BENCH_query.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  if (!json_only) {
-    int bench_argc = static_cast<int>(passthrough.size());
-    benchmark::Initialize(&bench_argc, passthrough.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                               passthrough.data())) {
-      return 1;
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-  }
-  if (!json_path.empty()) {
-    return tchimera::WriteQueryReport(json_path);
-  }
-  return 0;
+  return tchimera::RunBenchMain(argc, argv, "BENCH_query.json",
+                                tchimera::WriteQueryReport);
 }

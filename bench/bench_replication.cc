@@ -20,6 +20,7 @@
 #include "storage/journal.h"
 #include "storage/recovery.h"
 #include "storage/replication.h"
+#include "report.h"
 
 namespace tchimera {
 namespace {
@@ -215,53 +216,14 @@ int WriteReplicationReport(const std::string& path) {
   json += buf;
   json += "}\n";
 
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n%s", path.c_str(), json.c_str());
-  return 0;
+  return WriteReport(path, json);
 }
 
 }  // namespace
 }  // namespace tchimera
 
-// Custom main, same flags as the other bench binaries:
-//   --json[=PATH]  write BENCH_replication.json (or PATH) after the suite
-//   --json-only    skip the google-benchmark suite (the CI artifact path)
+// Custom main, same flags as the other bench binaries (bench/report.h).
 int main(int argc, char** argv) {
-  std::string json_path;
-  bool json_only = false;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json-only") {
-      json_only = true;
-      if (json_path.empty()) json_path = "BENCH_replication.json";
-    } else if (arg == "--json") {
-      json_path = "BENCH_replication.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  if (!json_only) {
-    int bench_argc = static_cast<int>(passthrough.size());
-    benchmark::Initialize(&bench_argc, passthrough.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                               passthrough.data())) {
-      return 1;
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-  }
-  if (!json_path.empty()) {
-    return tchimera::WriteReplicationReport(json_path);
-  }
-  return 0;
+  return tchimera::RunBenchMain(argc, argv, "BENCH_replication.json",
+                                tchimera::WriteReplicationReport);
 }

@@ -26,6 +26,7 @@
 #include "server/server.h"
 #include "server/wire.h"
 #include "storage/group_commit.h"
+#include "report.h"
 
 namespace tchimera {
 namespace {
@@ -326,14 +327,7 @@ int WriteServerReport(const std::string& path) {
   json += buf;
   json += "}\n";
 
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n%s", path.c_str(), json.c_str());
+  if (WriteReport(path, json) != 0) return 1;
   // The acceptance gates: full fan-in with zero failures, and observed
   // load-shedding under the tight server.
   if (!scale_ok || throughput.failures != 0) return 1;
@@ -347,40 +341,9 @@ int WriteServerReport(const std::string& path) {
 }  // namespace
 }  // namespace tchimera
 
-// Flags (mirrors the other bench binaries):
-//   --json[=PATH]  write BENCH_server.json (or PATH) after the suite
-//   --json-only    skip the google-benchmark suite (the CI artifact path)
+// Flags: bench/report.h.
 int main(int argc, char** argv) {
   tchimera::IgnoreSigpipe();
-  std::string json_path;
-  bool json_only = false;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json-only") {
-      json_only = true;
-      if (json_path.empty()) json_path = "BENCH_server.json";
-    } else if (arg == "--json") {
-      json_path = "BENCH_server.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  if (!json_only) {
-    int bench_argc = static_cast<int>(passthrough.size());
-    benchmark::Initialize(&bench_argc, passthrough.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                               passthrough.data())) {
-      return 1;
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-  }
-  if (!json_path.empty()) {
-    return tchimera::WriteServerReport(json_path);
-  }
-  return 0;
+  return tchimera::RunBenchMain(argc, argv, "BENCH_server.json",
+                                tchimera::WriteServerReport);
 }

@@ -5,7 +5,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 
 #include "core/db/timeslice.h"
@@ -112,13 +111,25 @@ void BM_JournalReplay(benchmark::State& state) {
   std::string path = (std::filesystem::temp_directory_path() /
                       "tchimera_bench_replay.tql")
                          .string();
+  std::remove(path.c_str());
   {
-    std::ofstream out(path, std::ios::trunc);
-    out << "define class worker attributes salary: temporal(integer) "
-           "end\n";
-    out << "create worker (salary: 1)\n";
-    for (int64_t i = 0; i < n; ++i) {
-      out << "tick\nupdate i1 set salary = " << i << "\n";
+    JournalOptions options;
+    options.sync = SyncPolicy::kNone;
+    Journal out;
+    Status s = out.Open(path, options);
+    if (s.ok()) {
+      s = out.Append(
+          "define class worker attributes salary: temporal(integer) end");
+    }
+    if (s.ok()) s = out.Append("create worker (salary: 1)");
+    for (int64_t i = 0; s.ok() && i < n; ++i) {
+      s = out.Append("tick");
+      if (s.ok()) s = out.Append("update i1 set salary = " + std::to_string(i));
+    }
+    out.Close();
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      return;
     }
   }
   for (auto _ : state) {

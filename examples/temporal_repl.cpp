@@ -1,10 +1,6 @@
 // An interactive TQL shell over a persistent T_Chimera database.
 //
-//   ./build/examples/temporal_repl [--no-compile] [db-directory]
-//
-// `--no-compile` disables the compiled read path (query/lower.h +
-// query/vm.h): every select/when tree-walks through the evaluator, and
-// `explain` still shows what the compiler would have produced.
+//   ./build/examples/temporal_repl [db-directory]
 //
 // On startup the shell runs crash recovery over the database directory
 // (snapshot load, journal replay in epoch order with torn-tail salvage,
@@ -69,15 +65,13 @@ int main(int argc, char** argv) {
   using tchimera::Session;
   using tchimera::Status;
 
-  bool compile_enabled = true;
-  std::string dir_arg;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--no-compile") {
-      compile_enabled = false;
-    } else {
-      dir_arg = argv[i];
-    }
+  // At most one argument: the database directory. Anything that looks
+  // like a flag is refused rather than taken for a directory name.
+  if (argc > 2 || (argc == 2 && argv[1][0] == '-')) {
+    std::fprintf(stderr, "usage: %s [DIRECTORY]\n", argv[0]);
+    return 1;
   }
+  std::string dir_arg = argc == 2 ? argv[1] : "";
 
   std::string snapshot_path, journal_path;
   if (!dir_arg.empty()) {
@@ -108,7 +102,6 @@ int main(int argc, char** argv) {
   // statements are not re-journaled.
   Engine engine(std::move(db));
   Session session = engine.OpenSession();
-  session.set_compile_enabled(compile_enabled);
   GroupCommitJournal sink;
   if (!journal_path.empty()) {
     Status replayed = recovery.ReplayJournals(

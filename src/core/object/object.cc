@@ -23,8 +23,9 @@ Value Object::AttributeRecord() const {
 
 TemporalFunction Object::NormalizedClassHistory(TimePoint now) const {
   if (IsHistorical()) return class_history_;
+  // A deleted static object is in no class at `now`: it has no pair.
   std::optional<std::string> current = CurrentClass();
-  if (!current.has_value()) return TemporalFunction();
+  if (!alive() || !current.has_value()) return TemporalFunction();
   return TemporalFunction::Constant(Interval::At(now),
                                     Value::String(*current));
 }

@@ -52,8 +52,8 @@ class Object {
   // class-history as stored (ongoing function; values are class-name
   // strings).
   const TemporalFunction& class_history() const { return class_history_; }
-  // class-history as defined by the paper: for a static object, the single
-  // pair <[now,now], current class>.
+  // class-history as defined by the paper: for a live static object, the
+  // single pair <[now,now], current class>; for a deleted one, empty.
   TemporalFunction NormalizedClassHistory(TimePoint now) const;
 
   // --- attribute access --------------------------------------------------

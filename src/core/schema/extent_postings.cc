@@ -1,7 +1,6 @@
 #include "core/schema/extent_postings.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 
 namespace tchimera {
@@ -326,27 +325,6 @@ TemporalFunction ExtentPostings::ToSetHistory() const {
   // The stretches are disjoint by construction, so Make cannot fail.
   Result<TemporalFunction> f = TemporalFunction::Make(std::move(segments));
   return f.ok() ? *std::move(f) : TemporalFunction();
-}
-
-ExtentPostings ExtentPostings::FromSetHistory(const TemporalFunction& f) {
-  std::map<Oid, std::vector<Interval>> by_oid;
-  for (const TemporalFunction::Segment& seg : f.segments()) {
-    if (seg.value.kind() != ValueKind::kSet) continue;
-    for (const Value& e : seg.value.Elements()) {
-      if (e.kind() == ValueKind::kOid) {
-        by_oid[e.AsOid()].push_back(seg.interval);
-      }
-    }
-  }
-  std::vector<Posting> postings;
-  postings.reserve(by_oid.size());
-  for (auto& [oid, intervals] : by_oid) {
-    // Coalesces the per-segment pieces into maximal intervals.
-    postings.push_back({oid, IntervalSet(std::move(intervals)).intervals()});
-  }
-  // Ascending and normalized by construction, so this cannot fail.
-  Result<ExtentPostings> out = FromPostings(postings);
-  return out.ok() ? *std::move(out) : ExtentPostings();
 }
 
 std::string ExtentPostings::ToString() const {

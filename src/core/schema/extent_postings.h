@@ -91,11 +91,8 @@ class ExtentPostings {
   // The set-valued temporal function these postings denote: defined at
   // exactly the instants with at least one member, coalesced.
   TemporalFunction ToSetHistory() const;
-  // The postings of a set-valued temporal function (elements that are not
-  // oids, and empty sets, carry no membership and are ignored).
-  static ExtentPostings FromSetHistory(const TemporalFunction& f);
 
-  // "1:[0,now] 3:[0,4][9,now]" — the snapshot v5 EXT/PEXT syntax.
+  // "1:[0,now] 3:[0,4][9,now]" — the snapshot EXT/PEXT syntax.
   std::string ToString() const;
 
   // Structural-sharing introspection (tests).

@@ -351,8 +351,8 @@ Result<std::string> Session::Execute(std::string_view statement) {
     if (result.ok()) last_write_version_ = engine_->version();
     return result;
   }
-  if (compile_enabled_ && (stmt.kind == Statement::Kind::kSelect ||
-                           stmt.kind == Statement::Kind::kWhen)) {
+  if (stmt.kind == Statement::Kind::kSelect ||
+      stmt.kind == Statement::Kind::kWhen) {
     TCH_ASSIGN_OR_RETURN(
         std::optional<std::string> compiled,
         TryCompiledRead(&stmt, snap.db(), NormalizePlanKey(statement)));

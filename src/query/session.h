@@ -280,7 +280,10 @@ class Engine {
 
 // One client's handle. Execute() is the single entry point: reads run
 // concurrently on a snapshot, writes serialize through the engine and
-// return only once durable (per the engine's sink).
+// return only once durable (per the engine's sink). A select/when is
+// lowered to an ExecProgram (consulting the engine's plan cache) and run
+// on the batch VM; non-lowerable statements and every other read verb
+// tree-walk.
 class Session {
  public:
   Session(Session&&) = default;
@@ -294,13 +297,6 @@ class Session {
   // engine; never shared across threads).
   void set_lint_enabled(bool enabled) { lint_enabled_ = enabled; }
   DiagnosticEngine& diags() { return *diags_; }
-
-  // Compiled execution of select/when (on by default): lower to an
-  // ExecProgram (consulting the engine's plan cache) and run the batch
-  // VM; non-lowerable statements and every other verb tree-walk. Off
-  // (`--no-compile`) forces the tree-walking evaluator for everything.
-  void set_compile_enabled(bool enabled) { compile_enabled_ = enabled; }
-  bool compile_enabled() const { return compile_enabled_; }
 
   // The conflict-retry policy for this session's writes (default: 3
   // optimistic attempts, then the exclusive lock). A server front end
@@ -356,7 +352,6 @@ class Session {
   // the interpreter during a statement.
   std::unique_ptr<DiagnosticEngine> diags_;
   bool lint_enabled_ = false;
-  bool compile_enabled_ = true;
   WriteRetryPolicy write_retry_policy_;
   ReadStaleness read_staleness_ = ReadStaleness::kReadYourWrites;
   uint64_t last_write_version_ = 0;

@@ -22,13 +22,12 @@ Status Corrupt(size_t line_no, const std::string& what) {
 
 class SnapshotReader {
  public:
-  SnapshotReader(std::istream* in, int version)
-      : in_(in), version_(version) {}
+  explicit SnapshotReader(std::istream* in) : in_(in) {}
 
   Result<std::unique_ptr<Database>> Load() {
     auto db = std::make_unique<Database>();
     TCH_ASSIGN_OR_RETURN(std::string header, NextLine());
-    if (header != "TCHIMERA-SNAPSHOT " + std::to_string(version_)) {
+    if (header != "TCHIMERA-SNAPSHOT 5") {
       return Corrupt(line_no_, "bad header '" + header + "'");
     }
     TimePoint now = 0;
@@ -36,9 +35,8 @@ class SnapshotReader {
     size_t records = 0;
     while (true) {
       TCH_ASSIGN_OR_RETURN(std::string line, NextLine());
-      if (line == "EOF" && version_ == 1) break;
       auto [tag, rest] = SplitTag(line);
-      if (tag == "CHECKSUM" && version_ >= 2) {
+      if (tag == "CHECKSUM") {
         // Already verified by the caller; the record count is
         // cross-checked as a parser self-test.
         size_t footer_records = std::strtoull(rest.c_str(), nullptr, 10);
@@ -63,7 +61,7 @@ class SnapshotReader {
       } else if (tag == "OBJECT") {
         ++records;
         TCH_RETURN_IF_ERROR(LoadObject(rest, db.get()));
-      } else if (tag == "DEFINE" && version_ >= 3) {
+      } else if (tag == "DEFINE") {
         // A trigger / constraint definition, installed into the database
         // in record order (DEFINE follows every CLASS and OBJECT record).
         Result<std::string> defined = ActiveDatabase(db.get()).Define(rest);
@@ -71,7 +69,7 @@ class SnapshotReader {
           return Corrupt(line_no_, "bad definition: " +
                                        defined.status().message());
         }
-      } else if (tag == "INDEX" && version_ >= 4) {
+      } else if (tag == "INDEX") {
         // Applied immediately: INDEX records follow every CLASS and
         // OBJECT record, so CreateIndex validates against the restored
         // schema and rebuilds the index data from the restored objects
@@ -127,7 +125,7 @@ class SnapshotReader {
     return Interval(parse_instant(parts[0]), parse_instant(parts[1]));
   }
 
-  // v5 postings: "<oid>:[a,b][c,d] <oid>:[e,now] ..." (empty: no member
+  // Postings: "<oid>:[a,b][c,d] <oid>:[e,now] ..." (empty: no member
   // ever). Well-formedness (oid order, disjoint sorted intervals) is
   // checked by FromPostings.
   Result<ExtentPostings> ParsePostings(const std::string& text) {
@@ -235,17 +233,7 @@ class SnapshotReader {
         TCH_ASSIGN_OR_RETURN(Value v, ParseValue(value_text, hint));
         c_values.emplace_back(attr_name, std::move(v));
       } else if (tag == "EXT" || tag == "PEXT") {
-        ExtentPostings postings;
-        if (version_ >= 5) {
-          TCH_ASSIGN_OR_RETURN(postings, ParsePostings(rest));
-        } else {
-          // v1-v4 store the extent as a set-valued temporal function.
-          const Type* hint =
-              types::Temporal(types::SetOf(types::Any())).value();
-          TCH_ASSIGN_OR_RETURN(TemporalFunction f,
-                               ParseTemporalText(rest, hint));
-          postings = ExtentPostings::FromSetHistory(f);
-        }
+        TCH_ASSIGN_OR_RETURN(ExtentPostings postings, ParsePostings(rest));
         (tag == "EXT" ? ext : pext) = std::move(postings);
       } else {
         return Corrupt(line_no_, "unexpected class record '" + tag + "'");
@@ -255,7 +243,7 @@ class SnapshotReader {
                             std::move(c_values));
   }
 
-  // "INDEX <name> <kind> <class> <attr|->" (v4).
+  // "INDEX <name> <kind> <class> <attr|->".
   Status LoadIndex(const std::string& rest, Database* db) {
     auto [name, after_name] = SplitName(rest);
     auto [kind_text, after_kind] = SplitName(after_name);
@@ -333,7 +321,6 @@ class SnapshotReader {
   }
 
   std::istream* in_;
-  int version_;
   size_t line_no_ = 0;
 };
 
@@ -357,21 +344,12 @@ Result<SnapshotInfo> ProbeSnapshot(const std::string& text) {
     return info;
   }
   std::string version_text = header.substr(kMagic.size());
-  if (version_text == "1") {
-    info.version = 1;
-  } else if (version_text == "2") {
-    info.version = 2;
-  } else if (version_text == "3") {
-    info.version = 3;
-  } else if (version_text == "4") {
-    info.version = 4;
-  } else if (version_text == "5") {
-    info.version = 5;
-  } else {
+  if (version_text != "5") {
     info.integrity = Status::Corruption("unsupported snapshot version '" +
                                         version_text + "'");
     return info;
   }
+  info.version = 5;
   const std::string kEof = "EOF\n";
   if (text.size() < header.size() + 1 + kEof.size() ||
       text.compare(text.size() - kEof.size(), kEof.size(), kEof) != 0) {
@@ -379,9 +357,7 @@ Result<SnapshotInfo> ProbeSnapshot(const std::string& text) {
         Status::Corruption("snapshot is truncated (missing EOF terminator)");
     return info;
   }
-  if (info.version == 1) return info;  // v1 has no checksum to verify.
-
-  // v2+ footer: "...body...\nCHECKSUM <records> <crc32>\nEOF\n". The CRC
+  // Footer: "...body...\nCHECKSUM <records> <crc32>\nEOF\n". The CRC
   // covers every byte of the body, newline included.
   size_t footer_nl = text.rfind("\nCHECKSUM ");
   if (footer_nl == std::string::npos) {
@@ -417,8 +393,8 @@ Result<SnapshotInfo> ProbeSnapshot(const std::string& text) {
         ", body hashes to " + Crc32Hex(got_crc));
     return info;
   }
-  // The body is now known intact, so the EPOCH line (if present) is
-  // exactly as written.
+  // The body is now known intact, so the EPOCH line is exactly as
+  // written.
   size_t second = header.size() + 1;
   std::string line2 = FirstLine(text.substr(second));
   const std::string kEpoch = "EPOCH ";
@@ -458,7 +434,7 @@ Result<std::unique_ptr<Database>> LoadDatabaseFromString(
   // surfaced before any database state is built.
   TCH_RETURN_IF_ERROR(info.integrity);
   std::istringstream in(text);
-  SnapshotReader reader(&in, info.version);
+  SnapshotReader reader(&in);
   return reader.Load();
 }
 

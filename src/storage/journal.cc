@@ -40,15 +40,70 @@ std::string RecordPayload(uint64_t seq, std::string_view statement) {
   return payload;
 }
 
-// Parses the v2 records of `content` starting at `offset` into `scan`.
-void ScanV2Records(std::string_view content, size_t offset,
-                   JournalScan* scan) {
-  scan->valid_bytes = offset;
-  uint64_t expected_seq = 1;
-  while (offset < content.size()) {
-    size_t newline = content.find('\n', offset);
+// A journal's header line: "TCHIMERA-JOURNAL 2 <epoch>".
+struct Header {
+  // Offset of the first record; 0 while the header line is incomplete
+  // (an empty file, or one torn before the header's newline).
+  size_t end = 0;
+  uint64_t epoch = 0;
+  Status damage;  // a complete header line that does not parse
+};
+
+// The one header parser. Fails (rather than reporting `damage`) for bytes
+// that are not a v2 journal at all: a non-empty file that neither starts
+// with the magic nor is a proper prefix of it (a header torn at
+// creation), or a header of another version. No reader salvages or
+// appends to such a file.
+Result<Header> ParseHeader(std::string_view content) {
+  Header header;
+  const size_t probe = std::min(content.size(), kJournalMagic.size());
+  if (content.substr(0, probe) != kJournalMagic.substr(0, probe)) {
+    return Status::Corruption("not a journal (no " +
+                              std::string(kJournalMagic) + " header)");
+  }
+  const size_t newline = content.find('\n');
+  if (newline == std::string_view::npos) return header;
+  header.end = newline + 1;
+  std::string_view line = content.substr(0, newline);
+  size_t pos = 0;
+  std::string_view magic, version_text;
+  uint64_t version = 0;
+  if (!NextToken(line, &pos, &magic) || magic != kJournalMagic ||
+      !NextToken(line, &pos, &version_text) ||
+      !ParseU64(version_text, &version)) {
+    header.damage = Status::Corruption("malformed journal header");
+  } else if (version != 2) {
+    return Status::Corruption("unsupported journal version " +
+                              std::to_string(version));
+  } else if (!ParseU64(line.substr(pos), &header.epoch)) {
+    header.damage = Status::Corruption("malformed journal epoch");
+  }
+  return header;
+}
+
+// Where and why DecodeRecords stopped.
+struct RecordRun {
+  size_t end = 0;     // offset just past the last record decoded
+  bool torn = false;  // stopped at trailing bytes with no newline
+  // Stopped at a complete line with bad framing, length, sequence or CRC.
+  Status damage;
+};
+
+// The one decoder of framed records, "R <seq> <len> <crc32> <stmt>\n".
+// Decodes `content` from `offset`, calling emit(seq, crc, statement) for
+// each valid record, until `max_records`, EOF, a torn record or damage.
+// `expected_seq` 0 accepts whatever sequence the first record carries;
+// after that, sequences must be contiguous.
+template <typename Emit>
+RecordRun DecodeRecords(std::string_view content, size_t offset,
+                        uint64_t expected_seq, size_t max_records,
+                        Emit&& emit) {
+  RecordRun run;
+  run.end = offset;
+  for (size_t n = 0; n < max_records && offset < content.size(); ++n) {
+    const size_t newline = content.find('\n', offset);
     if (newline == std::string_view::npos) {
-      scan->tail_error = Status::Corruption("torn record (no newline)");
+      run.torn = true;
       break;
     }
     std::string_view line = content.substr(offset, newline - offset);
@@ -56,38 +111,38 @@ void ScanV2Records(std::string_view content, size_t offset,
     std::string_view tag, seq_text, len_text, crc_text;
     uint64_t seq = 0, len = 0;
     uint32_t crc = 0;
+    auto damaged = [&run, offset](const std::string& what) {
+      run.damage = Status::Corruption(what + " at offset " +
+                                      std::to_string(offset));
+    };
     if (!NextToken(line, &pos, &tag) || tag != "R" ||
         !NextToken(line, &pos, &seq_text) || !ParseU64(seq_text, &seq) ||
         !NextToken(line, &pos, &len_text) || !ParseU64(len_text, &len) ||
         !NextToken(line, &pos, &crc_text) || !ParseCrc32Hex(crc_text, &crc)) {
-      scan->tail_error = Status::Corruption("malformed record framing");
+      damaged("malformed record framing");
       break;
     }
     std::string_view statement = line.substr(pos);
     if (statement.size() != len) {
-      scan->tail_error = Status::Corruption(
-          "record length mismatch (framed " + std::to_string(len) +
-          ", actual " + std::to_string(statement.size()) + ")");
+      damaged("record length mismatch (framed " + std::to_string(len) +
+              ", actual " + std::to_string(statement.size()) + ")");
       break;
     }
-    if (seq != expected_seq) {
-      scan->tail_error = Status::Corruption(
-          "sequence gap (expected " + std::to_string(expected_seq) +
-          ", found " + std::to_string(seq) + ")");
+    if (expected_seq != 0 && seq != expected_seq) {
+      damaged("sequence gap (expected " + std::to_string(expected_seq) +
+              ", found " + std::to_string(seq) + ")");
       break;
     }
     if (Crc32(RecordPayload(seq, statement)) != crc) {
-      scan->tail_error = Status::Corruption(
-          "checksum mismatch at record " + std::to_string(seq));
+      damaged("checksum mismatch at record " + std::to_string(seq));
       break;
     }
-    scan->statements.emplace_back(statement);
-    scan->last_seq = seq;
-    ++expected_seq;
+    emit(seq, crc, statement);
+    expected_seq = seq + 1;
     offset = newline + 1;
-    scan->valid_bytes = offset;
+    run.end = offset;
   }
-  scan->dropped_bytes = content.size() - scan->valid_bytes;
+  return run;
 }
 
 }  // namespace
@@ -121,57 +176,36 @@ bool IsMutatingStatement(std::string_view statement) {
 Result<JournalScan> ScanJournal(const std::string& path, FileSystem* fs) {
   if (fs == nullptr) fs = FileSystem::Default();
   TCH_ASSIGN_OR_RETURN(std::string content, fs->ReadFileToString(path));
+  Result<Header> header = ParseHeader(content);
+  if (!header.ok()) {
+    return Status::Corruption("journal " + path + ": " +
+                              header.status().message());
+  }
   JournalScan scan;
-  if (content.empty()) return scan;  // format 0: a fresh, empty journal
-
-  // v2 files start with the magic; a file whose bytes are a proper prefix
-  // of the magic is a v2 header torn at creation time.
-  size_t probe = std::min(content.size(), kJournalMagic.size());
-  if (std::string_view(content).substr(0, probe) !=
-      kJournalMagic.substr(0, probe)) {
-    // v1: bare statements, one per line, nothing to verify.
-    scan.format = 1;
-    size_t offset = 0;
-    while (offset < content.size()) {
-      size_t newline = content.find('\n', offset);
-      size_t end = newline == std::string::npos ? content.size() : newline;
-      std::string_view line =
-          std::string_view(content).substr(offset, end - offset);
-      if (!StripWhitespace(line).empty()) scan.statements.emplace_back(line);
-      offset = newline == std::string::npos ? content.size() : newline + 1;
+  if (header->end == 0 || !header->damage.ok()) {
+    // Empty: a fresh journal. Otherwise the unreadable header makes the
+    // whole file the corrupt tail.
+    if (!content.empty()) {
+      scan.tail_error = header->end == 0
+                            ? Status::Corruption("torn journal header")
+                            : header->damage;
+      scan.dropped_bytes = content.size();
     }
-    scan.valid_bytes = content.size();
     return scan;
   }
-
   scan.format = 2;
-  size_t header_end = content.find('\n');
-  if (header_end == std::string::npos) {
-    scan.tail_error = Status::Corruption("torn journal header");
-    scan.dropped_bytes = content.size();
-    return scan;
-  }
-  std::string_view header = std::string_view(content).substr(0, header_end);
-  size_t pos = 0;
-  std::string_view magic, version_text;
-  uint64_t version = 0;
-  if (!NextToken(header, &pos, &magic) || magic != kJournalMagic ||
-      !NextToken(header, &pos, &version_text) ||
-      !ParseU64(version_text, &version)) {
-    scan.tail_error = Status::Corruption("malformed journal header");
-    scan.dropped_bytes = content.size();
-    return scan;
-  }
-  if (version != 2) {
-    return Status::Corruption("unsupported journal version " +
-                              std::to_string(version) + " in " + path);
-  }
-  if (!ParseU64(header.substr(pos), &scan.epoch)) {
-    scan.tail_error = Status::Corruption("malformed journal epoch");
-    scan.dropped_bytes = content.size();
-    return scan;
-  }
-  ScanV2Records(content, header_end + 1, &scan);
+  scan.epoch = header->epoch;
+  RecordRun run = DecodeRecords(
+      content, header->end, /*expected_seq=*/1,
+      std::numeric_limits<size_t>::max(),
+      [&scan](uint64_t seq, uint32_t, std::string_view statement) {
+        scan.statements.emplace_back(statement);
+        scan.last_seq = seq;
+      });
+  scan.valid_bytes = run.end;
+  scan.dropped_bytes = content.size() - run.end;
+  scan.tail_error =
+      run.torn ? Status::Corruption("torn record (no newline)") : run.damage;
   return scan;
 }
 
@@ -191,93 +225,33 @@ Result<TailScan> ScanJournalTail(const std::string& path, uint64_t offset,
     return scan;
   }
   if (offset == 0) {
-    if (content.empty()) {
-      // Created but header not yet durable — an open in flight.
+    Result<Header> header = ParseHeader(content);
+    if (!header.ok() || !header->damage.ok()) {
+      scan.error = Status::Corruption(
+          "journal " + path + ": " +
+          (header.ok() ? header->damage : header.status()).message());
+      return scan;
+    }
+    if (header->end == 0) {
+      // Empty or mid-append: an open in flight, retryable.
       scan.partial_tail = true;
       return scan;
     }
-    size_t probe = std::min(content.size(), kJournalMagic.size());
-    if (std::string_view(content).substr(0, probe) !=
-        kJournalMagic.substr(0, probe)) {
-      return Status::FailedPrecondition(
-          "journal " + path + " is v1 (unframed); v1 journals cannot be "
-          "tail-followed");
-    }
-    size_t header_end = content.find('\n');
-    if (header_end == std::string::npos) {
-      // The header line itself is mid-append.
-      scan.partial_tail = true;
-      return scan;
-    }
-    std::string_view header = std::string_view(content).substr(0, header_end);
-    size_t pos = 0;
-    std::string_view magic, version_text;
-    uint64_t version = 0;
-    if (!NextToken(header, &pos, &magic) || magic != kJournalMagic ||
-        !NextToken(header, &pos, &version_text) ||
-        !ParseU64(version_text, &version) || version != 2 ||
-        !ParseU64(header.substr(pos), &scan.epoch)) {
-      scan.error = Status::Corruption("malformed journal header in " + path);
-      return scan;
-    }
-    scan.format = 2;
-    offset = header_end + 1;
-  } else {
-    scan.format = 2;
+    scan.epoch = header->epoch;
+    offset = header->end;
   }
-  scan.end_offset = offset;
-
-  std::string_view body(content);
-  while (offset < body.size() && scan.records.size() < max_records) {
-    size_t newline = body.find('\n', offset);
-    if (newline == std::string_view::npos) {
-      // An append in flight (or a torn tail recovery has not yet seen):
-      // retryable, never salvageable from here.
-      scan.partial_tail = true;
-      break;
-    }
-    std::string_view line = body.substr(offset, newline - offset);
-    size_t pos = 0;
-    std::string_view tag, seq_text, len_text, crc_text;
-    uint64_t seq = 0, len = 0;
-    uint32_t crc = 0;
-    if (!NextToken(line, &pos, &tag) || tag != "R" ||
-        !NextToken(line, &pos, &seq_text) || !ParseU64(seq_text, &seq) ||
-        !NextToken(line, &pos, &len_text) || !ParseU64(len_text, &len) ||
-        !NextToken(line, &pos, &crc_text) || !ParseCrc32Hex(crc_text, &crc)) {
-      // A complete line that does not frame: real damage, not a torn
-      // append (torn appends have no newline).
-      scan.error = Status::Corruption("malformed record framing at offset " +
-                                      std::to_string(offset) + " in " + path);
-      break;
-    }
-    std::string_view statement = line.substr(pos);
-    if (statement.size() != len) {
-      scan.error = Status::Corruption(
-          "record length mismatch at offset " + std::to_string(offset) +
-          " in " + path);
-      break;
-    }
-    if (expected_seq != 0 && seq != expected_seq) {
-      scan.error = Status::Corruption(
-          "sequence discontinuity in " + path + " (expected " +
-          std::to_string(expected_seq) + ", found " + std::to_string(seq) +
-          ")");
-      break;
-    }
-    if (Crc32(RecordPayload(seq, statement)) != crc) {
-      scan.error = Status::Corruption("checksum mismatch at record " +
-                                      std::to_string(seq) + " in " + path);
-      break;
-    }
-    TailRecord record;
-    record.seq = seq;
-    record.crc = crc;
-    record.statement.assign(statement);
-    scan.records.push_back(std::move(record));
-    expected_seq = seq + 1;
-    offset = newline + 1;
-    scan.end_offset = offset;
+  scan.format = 2;
+  RecordRun run = DecodeRecords(
+      content, offset, expected_seq, max_records,
+      [&scan](uint64_t seq, uint32_t crc, std::string_view statement) {
+        scan.records.push_back({seq, crc, std::string(statement)});
+      });
+  scan.end_offset = run.end;
+  // A torn record is an append in flight (or a torn tail recovery has not
+  // yet seen): retryable, never salvageable from here.
+  scan.partial_tail = run.torn;
+  if (!run.damage.ok()) {
+    scan.error = Status::Corruption(run.damage.message() + " in " + path);
   }
   return scan;
 }
@@ -285,9 +259,7 @@ Result<TailScan> ScanJournalTail(const std::string& path, uint64_t offset,
 Result<JournalScan> SalvageJournal(const std::string& path, FileSystem* fs) {
   if (fs == nullptr) fs = FileSystem::Default();
   TCH_ASSIGN_OR_RETURN(JournalScan scan, ScanJournal(path, fs));
-  if (scan.format != 2 || scan.tail_error.ok() || scan.dropped_bytes == 0) {
-    return scan;
-  }
+  if (scan.tail_error.ok()) return scan;
   TCH_ASSIGN_OR_RETURN(std::string content, fs->ReadFileToString(path));
   std::string_view tail =
       std::string_view(content).substr(scan.valid_bytes);
@@ -312,7 +284,7 @@ Status Journal::WriteHeader() {
   header += " 2 " + std::to_string(epoch_) + "\n";
   TCH_RETURN_IF_ERROR(file_->Append(header));
   // The header (and the file's existence) must be durable before any
-  // record: a record without its header would replay as v1 garbage.
+  // record: a record without its header makes the file unreadable.
   TCH_RETURN_IF_ERROR(file_->Sync());
   size_t slash = path_.find_last_of('/');
   std::string dir = slash == std::string::npos ? "." : path_.substr(0, slash);
@@ -324,7 +296,6 @@ Status Journal::Open(const std::string& path, const JournalOptions& options) {
   if (file_ != nullptr) return Status::FailedPrecondition("journal is open");
   options_ = options;
   path_ = path;
-  format_ = 2;
   epoch_ = options.epoch;
   next_seq_ = 1;
   appended_ = 0;
@@ -332,13 +303,10 @@ Status Journal::Open(const std::string& path, const JournalOptions& options) {
 
   bool needs_header = true;
   if (fs()->FileExists(path)) {
-    // Never append after corrupt bytes: quarantine a torn tail first.
+    // Never append after corrupt bytes: quarantine a torn tail first. A
+    // file that is not a v2 journal fails the scan and is left untouched.
     TCH_ASSIGN_OR_RETURN(JournalScan scan, SalvageJournal(path, fs()));
-    if (scan.format == 1) {
-      format_ = 1;
-      epoch_ = 0;
-      needs_header = false;
-    } else if (scan.format == 2) {
+    if (scan.format == 2) {
       epoch_ = scan.epoch;
       next_seq_ = scan.last_seq + 1;
       needs_header = false;
@@ -363,20 +331,14 @@ Status Journal::Append(std::string_view statement) {
     return Status::InvalidArgument(
         "journaled statements cannot contain raw newlines");
   }
-  std::string line;
-  if (format_ == 1) {
-    line.assign(statement);
-    line.push_back('\n');
-  } else {
-    uint64_t seq = next_seq_;
-    uint32_t crc = Crc32(RecordPayload(seq, statement));
-    line = "R " + std::to_string(seq) + " " +
-           std::to_string(statement.size()) + " " + Crc32Hex(crc) + " ";
-    line.append(statement);
-    line.push_back('\n');
-  }
+  const uint64_t seq = next_seq_;
+  std::string line = "R " + std::to_string(seq) + " " +
+                     std::to_string(statement.size()) + " " +
+                     Crc32Hex(Crc32(RecordPayload(seq, statement))) + " ";
+  line.append(statement);
+  line.push_back('\n');
   TCH_RETURN_IF_ERROR(file_->Append(line));
-  if (format_ == 2) ++next_seq_;
+  ++next_seq_;
   ++appended_;
   ++unsynced_;
   switch (options_.sync) {
@@ -417,26 +379,11 @@ Result<std::string> Journal::Rotate() {
   std::string rotated = RotatedPath(path_, epoch_);
   TCH_RETURN_IF_ERROR(fs()->RenameFile(path_, rotated));
   ++epoch_;
-  format_ = 2;
   next_seq_ = 1;
   unsynced_ = 0;
   TCH_ASSIGN_OR_RETURN(file_, fs()->OpenWritable(path_, /*truncate=*/false));
   TCH_RETURN_IF_ERROR(WriteHeader());
   return rotated;
-}
-
-Status Journal::Truncate() {
-  if (file_ == nullptr) {
-    return Status::FailedPrecondition("journal is not open");
-  }
-  TCH_RETURN_IF_ERROR(file_->Close());
-  file_.reset();
-  TCH_ASSIGN_OR_RETURN(file_, fs()->OpenWritable(path_, /*truncate=*/true));
-  format_ = 2;
-  next_seq_ = 1;
-  appended_ = 0;
-  unsynced_ = 0;
-  return WriteHeader();
 }
 
 void Journal::Close() {

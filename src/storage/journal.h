@@ -4,27 +4,25 @@
 // interpreter — oids are assigned sequentially, so a replayed journal
 // reproduces the exact database state.
 //
-// On-disk formats:
+// On-disk format (v2, the only one read or written): a header line
+// followed by framed, checksummed records —
 //
-//   v1 (legacy, still replayable): one bare statement per line, no
-//   framing. A torn tail is undetectable; replay is fail-fast.
+//   TCHIMERA-JOURNAL 2 <epoch>
+//   R <seq> <len> <crc32> <statement>
 //
-//   v2 (written by this version): a header line followed by framed,
-//   checksummed records —
+// <seq> is 1-based and contiguous, <len> the statement's byte length,
+// <crc32> eight hex digits over "<seq> <statement>". Any torn or
+// bit-flipped record invalidates exactly the tail from that record on;
+// ScanJournal finds the longest valid prefix and SalvageJournal
+// quarantines the rest to `<journal>.corrupt`. A non-empty file that does
+// not start with the header's magic (and is not a header torn at
+// creation), or names another version, is Corruption: it is never
+// replayed, salvaged or appended to.
 //
-//     TCHIMERA-JOURNAL 2 <epoch>
-//     R <seq> <len> <crc32> <statement>
-//
-//   <seq> is 1-based and contiguous, <len> the statement's byte length,
-//   <crc32> eight hex digits over "<seq> <statement>". Any torn or
-//   bit-flipped record invalidates exactly the tail from that record on;
-//   ScanJournal finds the longest valid prefix and SalvageJournal
-//   quarantines the rest to `<journal>.corrupt`.
-//
-//   <epoch> orders a journal against snapshots: a snapshot written with
-//   epoch E contains the effects of every journal with epoch < E, so
-//   recovery replays only journals with epoch >= E (see recovery.h for
-//   the full checkpoint protocol).
+// <epoch> orders a journal against snapshots: a snapshot written with
+// epoch E contains the effects of every journal with epoch < E, so
+// recovery replays only journals with epoch >= E (see recovery.h for the
+// full checkpoint protocol).
 //
 // Durability is governed by SyncPolicy: kEveryAppend issues a real
 // fdatasync per record (Append returning OK means the record survives a
@@ -72,26 +70,27 @@ struct JournalOptions {
 // The parse of one journal file: everything up to (not including) the
 // first invalid byte.
 struct JournalScan {
-  int format = 0;        // 0 = empty file, 1 or 2
-  uint64_t epoch = 0;    // v2 only; 0 for v1
-  uint64_t last_seq = 0;  // v2 only
+  int format = 0;  // the header's version (2); 0 = empty file or no header
+  uint64_t epoch = 0;
+  uint64_t last_seq = 0;
   std::vector<std::string> statements;
   uint64_t valid_bytes = 0;    // byte length of the valid prefix
-  uint64_t dropped_bytes = 0;  // byte length of the corrupt tail (v2)
+  uint64_t dropped_bytes = 0;  // byte length of the corrupt tail
   Status tail_error;  // OK when the whole file parsed; else why it stopped
 };
 
 // Parses a journal file without executing anything. IoError if the file
-// cannot be read; a corrupt v2 tail is reported via `tail_error` /
-// `dropped_bytes`, not as a failure. v1 files cannot self-detect
-// corruption: every non-blank line is taken as a statement.
+// cannot be read, Corruption if it is not a v2 journal; a torn or corrupt
+// tail (a torn or malformed header included) is reported via
+// `tail_error` / `dropped_bytes`, not as a failure.
 Result<JournalScan> ScanJournal(const std::string& path,
                                 FileSystem* fs = nullptr);
 
-// Moves the corrupt tail of a v2 journal (if any) to `<path>.corrupt`
+// Moves the corrupt tail of a journal (if any) to `<path>.corrupt`
 // (appending, so repeated salvages accumulate evidence) and truncates the
 // journal to its longest valid prefix. Returns the scan describing what
-// was kept. No-op beyond the scan for clean files and v1 files.
+// was kept. No-op beyond the scan for clean files; fails like ScanJournal,
+// touching nothing, for a file that is not a v2 journal.
 //
 // RECOVERY-ONLY: salvage decides that the file will never grow again and
 // amputates its tail. A journal that is still being appended to routinely
@@ -111,8 +110,10 @@ struct TailRecord {
 
 // The result of one incremental live-tail read (see ScanJournalTail).
 struct TailScan {
-  int format = 0;        // 0 = empty file (header not yet durable), 1 or 2
-  uint64_t epoch = 0;    // v2 header epoch (valid once format == 2)
+  // 2 once the header is read (or skipped: offset > 0); 0 when it is not
+  // (empty, mid-append or damaged).
+  int format = 0;
+  uint64_t epoch = 0;  // the header's epoch, when this read parsed it
   std::vector<TailRecord> records;
   // Byte offset just past the last complete record consumed (or past the
   // header when no record was). Pass it back as the next read's `offset`.
@@ -122,20 +123,22 @@ struct TailScan {
   // recovery has not yet adjudicated. The reader retries later — it must
   // never salvage (that decision belongs to recovery alone).
   bool partial_tail = false;
-  // Non-OK only for damage that cannot be an append in flight: a
-  // *complete* line with malformed framing, a length or CRC mismatch, or
-  // a sequence discontinuity. The scan stops at the damaged record.
+  // Non-OK only for damage that cannot be an append in flight: a file
+  // that is not a journal, a malformed header, or a *complete* line with
+  // malformed framing, a length or CRC mismatch, or a sequence
+  // discontinuity. The scan stops at the damaged record.
   Status error;
 };
 
-// Incrementally parses the framed records of a v2 journal starting at
-// byte `offset` (0 = start of file; the header is parsed and skipped),
+// Incrementally parses the framed records of a journal starting at byte
+// `offset` (0 = start of file; the header is parsed and skipped),
 // expecting the first record to carry `expected_seq` (0 = accept whatever
 // sequence the first record carries, then require contiguity). Reads at
 // most `max_records` records. Purely observational: never truncates,
 // renames, or quarantines anything — safe against a journal that another
-// process is appending to. v1 files cannot be tail-followed
-// (FailedPrecondition).
+// process is appending to. Records are decoded exactly as ScanJournal
+// decodes them; only a torn last record is read differently (retryable
+// `partial_tail` here, a salvageable `tail_error` there).
 Result<TailScan> ScanJournalTail(const std::string& path, uint64_t offset,
                                  uint64_t expected_seq, size_t max_records,
                                  FileSystem* fs = nullptr);
@@ -177,15 +180,15 @@ class Journal {
   Journal& operator=(const Journal&) = delete;
   ~Journal() { Close(); }
 
-  // Opens (creating or appending to) the journal file. An existing v2
-  // file with a torn tail is salvaged first (tail quarantined to
+  // Opens (creating or appending to) the journal file. An existing file
+  // with a torn tail is salvaged first (tail quarantined to
   // `<path>.corrupt`) so new records are never appended after corrupt
-  // bytes; an existing v1 file is continued in v1 format; a new or empty
-  // file starts a v2 journal stamped with options.epoch.
+  // bytes; a new or empty file (or one whose header was torn) starts a
+  // journal stamped with options.epoch. A file that is not a v2 journal
+  // fails with Corruption and is left as it was.
   Status Open(const std::string& path, const JournalOptions& options = {});
   bool is_open() const { return file_ != nullptr; }
   const std::string& path() const { return path_; }
-  int format() const { return format_; }
   uint64_t epoch() const { return epoch_; }
 
   // Appends one statement (write-ahead: call before applying the
@@ -220,17 +223,11 @@ class Journal {
   // Where Rotate parks the journal of `epoch`.
   static std::string RotatedPath(const std::string& path, uint64_t epoch);
 
-  // DEPRECATED: truncating the journal while the latest snapshot may not
-  // be durable loses every statement since the previous snapshot. Use
-  // RecoveryManager::Checkpoint (rotate, snapshot, then delete) instead.
-  // Kept for legacy callers; rewrites the v2 header with the same epoch.
-  Status Truncate();
-
   void Close();
 
   // Replays a journal file into `interp`, statement by statement. Returns
   // the number of statements applied. Fails fast (Corruption) on the
-  // first statement the interpreter rejects, and on a torn v2 tail —
+  // first statement the interpreter rejects, and on a torn tail —
   // strict semantics for callers that need an exact transaction count;
   // recovery goes through RecoveryManager, which salvages instead.
   static Result<size_t> Replay(const std::string& path, Interpreter* interp);
@@ -251,7 +248,6 @@ class Journal {
   std::string path_;
   std::unique_ptr<WritableFile> file_;
   JournalOptions options_;
-  int format_ = 2;
   uint64_t epoch_ = 0;
   uint64_t next_seq_ = 1;
   size_t appended_ = 0;

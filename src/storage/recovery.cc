@@ -124,9 +124,8 @@ Status RecoveryManager::ReplayJournals(const StatementExecutor& exec,
   if (live_exists) {
     TCH_ASSIGN_OR_RETURN(JournalScan scan,
                          ScanJournal(journal_path_, fs()));
-    live_epoch = scan.epoch;  // 0 for v1
-    live_has_header =
-        scan.format == 1 || (scan.format == 2 && scan.valid_bytes > 0);
+    live_epoch = scan.epoch;
+    live_has_header = scan.format == 2;
     if (live_has_header && live_epoch < snapshot_epoch) {
       // The checkpoint protocol always leaves the live journal at an
       // epoch >= the snapshot's; an older live journal means files from
@@ -178,7 +177,7 @@ Status RecoveryManager::ReplayJournals(const StatementExecutor& exec,
                                                : rotated.back() + 1);
   }
 
-  // Replay: rotated files in epoch order, then the live journal. Torn v2
+  // Replay: rotated files in epoch order, then the live journal. Torn
   // tails are salvaged first, so replay sees the longest valid prefix and
   // the corrupt bytes are preserved in `<file>.corrupt`.
   std::vector<std::string> files;

@@ -19,13 +19,13 @@
 // Recovery inverts the protocol:
 //
 //   1. Load the snapshot (epoch S), trigger and constraint definitions
-//      included. A v2 snapshot is checksum-verified before any state is
+//      included. The snapshot is checksum-verified before any state is
 //      built; corruption fails recovery (the snapshot write is atomic, so
 //      a bad snapshot is bit rot, not a crash artifact). A leftover
 //      `<snapshot>.tmp` is deleted.
 //   2. Delete rotated journals with epoch < S (covered by the snapshot),
 //      then replay the remaining rotated journals in epoch order followed
-//      by the live journal (iff its epoch >= S). Torn v2 tails are
+//      by the live journal (iff its epoch >= S). Torn tails are
 //      salvaged (quarantined to `<file>.corrupt`), and replay applies the
 //      longest valid prefix. Missing epochs in [S, live) fail with
 //      Corruption — that is lost data, not a crash artifact.

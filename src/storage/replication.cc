@@ -98,9 +98,12 @@ Result<JournalHorizon> ReplicationSource::SampleHorizon() const {
       TailScan scan,
       ScanJournalTail(journal_path_, /*offset=*/0, /*expected_seq=*/0,
                       /*max_records=*/0, fs()));
+  // A damaged header (not a journal) is retryable like any defect Fetch
+  // meets, but says why: the primary's recovery adjudicates the file.
+  if (!scan.error.ok()) return Status::Unavailable(scan.error.message());
   if (scan.format != 2) {
     return Status::Unavailable("journal " + journal_path_ +
-                               " has no durable v2 header yet");
+                               " has no durable header yet");
   }
   JournalHorizon horizon;
   horizon.epoch = scan.epoch;
@@ -213,9 +216,6 @@ Result<ReplicationBatch> ReplicationSource::Fetch(
         epoch_checked = false;
         batch.records.clear();
         continue;
-      }
-      if (failure.code() == StatusCode::kFailedPrecondition) {
-        return failure;  // v1 journal: never tail-followable
       }
       defect = failure;
       break;

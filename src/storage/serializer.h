@@ -30,31 +30,28 @@
 //   CHECKSUM <records> <crc32>
 //   EOF
 //
-// The v2+ footer carries the CLASS+OBJECT record count and a CRC32 over
-// every byte above it, so a truncated or bit-flipped snapshot is rejected
-// before a single record is parsed (v1 snapshots — no EPOCH, no CHECKSUM,
-// header version 1 — still load; v2 snapshots — no DEFINE records — also
-// still load). EPOCH orders the snapshot against journals: it contains
-// the effects of every journal with epoch < e (see storage/recovery.h).
+// Version 5 is the only version read or written; a snapshot with any
+// other header is Corruption. The footer carries the CLASS+OBJECT record
+// count and a CRC32 over every byte above it, so a truncated or
+// bit-flipped snapshot is rejected before a single record is parsed.
+// EPOCH orders the snapshot against journals: it contains the effects of
+// every journal with epoch < e (see storage/recovery.h).
 //
-// v3 adds DEFINE records: the database's trigger / constraint
-// definitions (triggers/trigger.h), triggers in definition order then
-// constraints, one re-parseable statement per line inside the
-// checksummed body. Restore installs them into the loaded database; the
-// record count in the footer stays CLASS+OBJECT only.
+// DEFINE records are the database's trigger / constraint definitions
+// (triggers/trigger.h), triggers in definition order then constraints,
+// one re-parseable statement per line inside the checksummed body.
+// Restore installs them into the loaded database.
 //
-// v4 adds INDEX records: temporal secondary index definitions (name,
-// kind, class, attribute) written after DEFINE. Only the definition is
+// INDEX records are temporal secondary index definitions (name, kind,
+// class, attribute), written after DEFINE. Only the definition is
 // persisted — index *data* is a pure function of object state and is
-// rebuilt deterministically on restore (docs/INDEXING.md). Like DEFINE,
+// rebuilt deterministically on restore (docs/INDEXING.md). DEFINE and
 // INDEX records are excluded from the footer's record count.
 //
-// v5 writes each extent (EXT: members, PEXT: instances) as its interval
+// Each extent (EXT: members, PEXT: instances) is written as its interval
 // postings (core/schema/extent_postings.h), ascending by oid:
 // "<oid>:[a,b][c,now] <oid>:[e,now] ...", empty when the class never had
-// a member. v1-v4 wrote a set-valued temporal function instead
-// ("{<[a,b],{i1,i2}>,...}", one full member set per stretch); loading one
-// converts it to postings.
+// a member.
 //
 // Classes are emitted in topological (ISA) order so restore never sees a
 // dangling superclass.

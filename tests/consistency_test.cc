@@ -169,5 +169,24 @@ TEST_F(ConsistencyTest, PopulatedDatabaseStaysConsistent) {
   EXPECT_TRUE(s.ok()) << s;
 }
 
+// A static object (no temporal attribute) records only its current class
+// pair (Definition 5.1). Once deleted it has no pair at all, so dropping
+// its class afterwards leaves the database consistent.
+TEST(StaticObjectConsistencyTest, DeletedObjectOutlivesItsDroppedClass) {
+  Database db;
+  ClassSpec spec;
+  spec.name = "a";
+  ASSERT_TRUE(db.DefineClass(spec).ok());
+  const Oid oid = db.CreateObject("a").value();
+  db.Tick(1);
+  ASSERT_TRUE(db.DeleteObject(oid).ok());
+  db.Tick(1);
+  ASSERT_TRUE(db.DropClass("a").ok());
+  db.Tick(1);
+  EXPECT_TRUE(db.GetObject(oid)->NormalizedClassHistory(db.now()).empty());
+  Status s = CheckDatabaseConsistency(db);
+  EXPECT_TRUE(s.ok()) << s;
+}
+
 }  // namespace
 }  // namespace tchimera

@@ -2,8 +2,9 @@
 // enumeration through the fault-injection filesystem (every possible
 // crash must recover to a committed prefix of the workload), snapshot
 // atomicity, torn-tail salvage, corruption fuzzing (bit flips and
-// truncations must never be loaded silently), v1 backcompat, and the
-// post-recovery consistency audit in all three modes.
+// truncations must never be loaded silently; the full-file and live-tail
+// journal readers agree on every mutation), and the post-recovery
+// consistency audit in all three modes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,7 +22,6 @@
 #include "core/values/value.h"
 #include "query/interpreter.h"
 #include "query/session.h"
-#include "snapshot_test_util.h"
 #include "storage/deserializer.h"
 #include "storage/group_commit.h"
 #include "storage/journal.h"
@@ -597,97 +597,62 @@ TEST(FuzzTest, CorruptedJournalsRecoverToAPrefixOrFail) {
   }
 }
 
-// v1 journals (bare statements, no framing) still replay — both through
-// the strict Journal::Replay path and through RecoveryManager — and the
-// first checkpoint upgrades the pair to v2 without losing anything.
-TEST(BackCompatTest, V1JournalReplaysAndUpgradesAtTheNextCheckpoint) {
-  std::string dir = FreshDir("v1journal");
-  std::string journal_path = dir + "/journal.tql";
-  std::string snap_path = dir + "/snap.tchdb";
-  std::string v1_text;
-  for (size_t i = 0; i < kCheckpointBefore; ++i) {
-    v1_text += Workload()[i] + "\n";
-    if (i == 2) v1_text += "\n";  // blank lines are tolerated in v1
+// The recovery reader (ScanJournal) and the live-tail reader
+// (ScanJournalTail) decode records the same way: on every mutated journal
+// they keep the same valid record prefix and stop at the same byte, and a
+// file that is not a journal is Corruption for both.
+TEST(FuzzTest, FullAndTailScansKeepTheSameRecordPrefix) {
+  std::string dir = FreshDir("jscanfuzz");
+  std::string path = dir + "/journal.tql";
+  {
+    Journal journal;
+    ASSERT_TRUE(journal.Open(path).ok());
+    for (const std::string& statement : Workload()) {
+      ASSERT_TRUE(journal.Append(statement).ok());
+    }
+    journal.Close();
   }
-  WriteFileOrDie(journal_path, v1_text);
+  const std::string pristine = ReadFileOrDie(path);
 
-  Database reference;
-  Interpreter reference_interp(&reference);
-  auto applied = Journal::Replay(journal_path, &reference_interp);
-  ASSERT_TRUE(applied.ok()) << applied.status();
-  EXPECT_EQ(*applied, kCheckpointBefore);
+  Rng rng{0x51e3a09c4b7d2f68ULL};
+  size_t iterations = FuzzIterations(250);
+  for (size_t i = 0; i < iterations; ++i) {
+    std::string mutated = pristine;
+    std::string what;
+    if (rng.Next() % 2 == 0) {
+      size_t pos = rng.Next() % mutated.size();
+      int bit = static_cast<int>(rng.Next() % 8);
+      mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << bit));
+      what = "bit " + std::to_string(bit) + " at byte " + std::to_string(pos);
+    } else {
+      size_t len = rng.Next() % mutated.size();
+      mutated.resize(len);
+      what = "truncated to " + std::to_string(len) + " bytes";
+    }
+    WriteFileOrDie(path, mutated);
 
-  RecoveryManager manager(snap_path, journal_path);
-  RecoveryStats stats;
-  auto recovered = manager.Recover(&stats);
-  ASSERT_TRUE(recovered.ok()) << recovered.status();
-  EXPECT_FALSE(stats.snapshot_loaded);
-  EXPECT_EQ(stats.statements_applied, kCheckpointBefore);
-  EXPECT_EQ(stats.next_epoch, 0u);
-  EXPECT_EQ(SaveDatabaseToString(**recovered, 0).value(),
-            SaveDatabaseToString(reference, 0).value());
-
-  // Keep running against the recovered database in v1, then checkpoint:
-  // the journal rotates to v2 and the v1 file is absorbed and deleted.
-  Database* db = recovered->get();
-  Interpreter interp(db);
-  Journal journal;
-  ASSERT_TRUE(journal.Open(journal_path).ok());
-  EXPECT_EQ(journal.format(), 1);
-  ASSERT_TRUE(interp.Execute("tick 1").ok());
-  ASSERT_TRUE(journal.Append("tick 1").ok());
-  ASSERT_TRUE(
-      RecoveryManager::Checkpoint(*db, &journal, snap_path).ok());
-  EXPECT_EQ(journal.format(), 2);
-  EXPECT_EQ(journal.epoch(), 1u);
-  EXPECT_FALSE(
-      FileSystem::Default()->FileExists(Journal::RotatedPath(journal_path, 0)));
-  journal.Close();
-
-  RecoveryManager manager2(snap_path, journal_path);
-  RecoveryStats stats2;
-  auto recovered2 = manager2.Recover(&stats2);
-  ASSERT_TRUE(recovered2.ok()) << recovered2.status();
-  EXPECT_TRUE(stats2.snapshot_loaded);
-  EXPECT_EQ(stats2.snapshot_epoch, 1u);
-  EXPECT_EQ(SaveDatabaseToString(**recovered2, 0).value(),
-            SaveDatabaseToString(*db, 0).value());
-}
-
-// v1 snapshots (no EPOCH line, no CHECKSUM footer) still load.
-TEST(BackCompatTest, V1SnapshotStillLoads) {
-  Database db;
-  Interpreter interp(&db);
-  for (size_t i = 0; i < kCheckpointBefore; ++i) {
-    ASSERT_TRUE(interp.Execute(Workload()[i]).ok());
+    auto full = ScanJournal(path);
+    auto tail = ScanJournalTail(path, /*offset=*/0, /*expected_seq=*/1,
+                                /*max_records=*/SIZE_MAX);
+    ASSERT_TRUE(tail.ok()) << what << ": " << tail.status();
+    std::vector<std::string> tail_statements;
+    for (const TailRecord& record : tail->records) {
+      tail_statements.push_back(record.statement);
+    }
+    if (!full.ok()) {
+      EXPECT_EQ(full.status().code(), StatusCode::kCorruption) << what;
+      EXPECT_EQ(tail->error.code(), StatusCode::kCorruption) << what;
+      EXPECT_TRUE(tail_statements.empty()) << what;
+      continue;
+    }
+    EXPECT_EQ(tail_statements, full->statements) << what;
+    if (full->format != 2) continue;  // no header: nothing was decoded
+    EXPECT_EQ(tail->end_offset, full->valid_bytes) << what;
+    // A clean end for one is a clean end for the other; a torn record is
+    // partial for the tail reader and a tail error for the full scan.
+    EXPECT_EQ(full->tail_error.ok(), tail->error.ok() && !tail->partial_tail)
+        << what;
   }
-  // Extents in the v1-v4 syntax (set histories).
-  std::string v2 =
-      WithSetHistoryExtents(SaveDatabaseToString(db, 5).value(), db);
-
-  // Shape the v2 text into its v1 equivalent: version 1 header, no EPOCH
-  // line, no CHECKSUM line.
-  std::string v1 = v2;
-  size_t header_end = v1.find('\n');
-  ASSERT_NE(header_end, std::string::npos);
-  v1.replace(0, header_end, "TCHIMERA-SNAPSHOT 1");
-  size_t epoch_pos = v1.find("EPOCH ");
-  ASSERT_NE(epoch_pos, std::string::npos);
-  v1.erase(epoch_pos, v1.find('\n', epoch_pos) - epoch_pos + 1);
-  size_t footer_pos = v1.find("CHECKSUM ");
-  ASSERT_NE(footer_pos, std::string::npos);
-  v1.erase(footer_pos, v1.find('\n', footer_pos) - footer_pos + 1);
-
-  auto info = ProbeSnapshot(v1);
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->version, 1);
-  EXPECT_EQ(info->epoch, 0u);
-  EXPECT_TRUE(info->integrity.ok()) << info->integrity;
-
-  auto loaded = LoadDatabaseFromString(v1);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(SaveDatabaseToString(**loaded, 0).value(),
-            SaveDatabaseToString(db, 0).value());
 }
 
 // A corrupt snapshot fails recovery with Corruption before any journal

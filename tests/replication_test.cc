@@ -407,6 +407,28 @@ TEST(ReplicationTest, PartialLiveTailIsRetriedNeverSalvaged) {
   EXPECT_FALSE(HasCorruptQuarantine(dir));
 }
 
+// A live file that is not a journal is a retryable defect whose message
+// says why, and the source never writes to it.
+TEST(ReplicationTest, LiveFileThatIsNotAJournalIsReportedAsSuch) {
+  const std::string dir = FreshDir("not_a_journal");
+  const std::string path = dir + "/journal.tql";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "tick 1\n";
+    ASSERT_TRUE(out.good());
+  }
+  ReplicationSource source(path);
+  auto batch = source.Fetch(ReplicationCursor(), 16);
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(batch.status().message().find("not a journal"), std::string::npos)
+      << batch.status();
+  auto content = FileSystem::Default()->ReadFileToString(path);
+  ASSERT_TRUE(content.ok());
+  EXPECT_EQ(*content, "tick 1\n");
+  EXPECT_FALSE(HasCorruptQuarantine(dir));
+}
+
 TEST(ReplicationTest, UnsyncedTailBeyondHorizonIsNotShipped) {
   Primary primary = Primary::Start(FreshDir("horizon_primary"));
   Session session = primary.engine->OpenSession();

@@ -9,7 +9,6 @@
 #include "common/crc32.h"
 #include "core/db/consistency.h"
 #include "core/db/equality.h"
-#include "snapshot_test_util.h"
 #include "storage/deserializer.h"
 #include "storage/journal.h"
 #include "storage/recovery.h"
@@ -24,6 +23,18 @@ std::string TempPath(const char* name) {
   return (std::filesystem::temp_directory_path() /
           (std::string("tchimera_test_") + name))
       .string();
+}
+
+// Recomputes the footer of snapshot text whose body was edited by hand,
+// keeping the footer's CLASS+OBJECT record count.
+std::string Reseal(const std::string& text) {
+  size_t chk = text.find("CHECKSUM ");
+  if (chk == std::string::npos) return text;
+  std::string body = text.substr(0, chk);
+  size_t count_end = text.find(' ', chk + 9);
+  std::string records = text.substr(chk + 9, count_end - chk - 9);
+  return body + "CHECKSUM " + records + " " + Crc32Hex(Crc32(body)) +
+         "\nEOF\n";
 }
 
 void Populate(Database* db, uint64_t seed = 7) {
@@ -69,59 +80,6 @@ TEST(SerializerTest, SnapshotRoundTripsExactly) {
   // The restored database passes the full consistency check.
   Status s = CheckDatabaseConsistency(**loaded);
   EXPECT_TRUE(s.ok()) << s;
-}
-
-TEST(SerializerTest, V4SetHistoryExtentsLoadAsPostings) {
-  // A v4 writer stored each extent as a set-valued temporal function,
-  // including stretches with no member ("{}"); v5 stores interval
-  // postings. Extent parsing only: the objects' class histories are left
-  // out.
-  const std::string v4 = Reseal(
-      "TCHIMERA-SNAPSHOT 4\n"
-      "EPOCH 0\n"
-      "NOW 12\n"
-      "CLASS person\n"
-      "SUPERS -\n"
-      "LIFESPAN [0,now]\n"
-      "EXT {<[2,4],{i1}>,<[5,7],{}>,<[8,9],{i1,i2}>,<[10,now],{i2}>}\n"
-      "PEXT {<[2,3],{i1}>,<[4,4],{i1}>,<[8,now],{i2}>}\n"
-      "END\n"
-      "OBJECT 1 [2,9]\n"
-      "END\n"
-      "OBJECT 2 [8,now]\n"
-      "END\n"
-      "NEXT-OID 3\n"
-      "CHECKSUM 3 00000000\nEOF\n");
-  Result<std::unique_ptr<Database>> loaded = LoadDatabaseFromString(v4);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  const Database& db = **loaded;
-  EXPECT_EQ(db.Pi("person", 3), std::vector<Oid>{Oid{1}});
-  EXPECT_TRUE(db.Pi("person", 6).empty());
-  EXPECT_EQ(db.Pi("person", 9), (std::vector<Oid>{Oid{1}, Oid{2}}));
-  EXPECT_EQ(db.Pi("person", 11), std::vector<Oid>{Oid{2}});
-  EXPECT_EQ(db.MLifespan(Oid{1}, "person").value().ToString(),
-            "{[2,4],[8,9]}");
-  const ClassDef* person = db.GetClass("person");
-  EXPECT_EQ(person->member_postings().ToString(), "1:[2,4][8,9] 2:[8,now]");
-  EXPECT_EQ(person->instance_postings().ToString(), "1:[2,4] 2:[8,now]");
-  // Written back as v5 postings; the empty stretch leaves the function.
-  const std::string v5 = SaveDatabaseToString(db).value();
-  EXPECT_EQ(v5.rfind("TCHIMERA-SNAPSHOT 5\n", 0), 0u);
-  EXPECT_NE(v5.find("\nEXT 1:[2,4][8,9] 2:[8,now]\n"), std::string::npos);
-  EXPECT_EQ(person->ext().ToString(),
-            "{<[2,4],{i1}>,<[8,9],{i1,i2}>,<[10,now],{i2}>}");
-
-  // Malformed v5 postings are corruption.
-  for (const char* bad : {"EXT 2:[0,now] 1:[0,now]", "EXT 1:[0,4][5,now]",
-                          "EXT 1:", "EXT x:[0,now]", "EXT 1:[0,now"}) {
-    std::string text = v5;
-    const size_t at = text.find("\nEXT ") + 1;
-    text.replace(at, text.find('\n', at) - at, bad);
-    Result<std::unique_ptr<Database>> r =
-        LoadDatabaseFromString(Reseal(text));
-    ASSERT_FALSE(r.ok()) << bad;
-    EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << bad;
-  }
 }
 
 TEST(SerializerTest, FileRoundTrip) {
@@ -173,6 +131,39 @@ TEST(DeserializerTest, DetectsCorruption) {
   ASSERT_NE(pos, std::string::npos);
   mangled.replace(pos, 8, "\nOBJEKT ");
   EXPECT_FALSE(LoadDatabaseFromString(mangled).ok());
+  // Malformed extent postings (out of oid order, adjacent intervals, no
+  // interval, a bad oid, an unclosed interval).
+  for (const char* bad : {"EXT 2:[0,now] 1:[0,now]", "EXT 1:[0,4][5,now]",
+                          "EXT 1:", "EXT x:[0,now]", "EXT 1:[0,now"}) {
+    std::string edited = text;
+    const size_t at = edited.find("\nEXT ") + 1;
+    edited.replace(at, edited.find('\n', at) - at, bad);
+    Result<std::unique_ptr<Database>> rejected =
+        LoadDatabaseFromString(Reseal(edited));
+    ASSERT_FALSE(rejected.ok()) << bad;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kCorruption) << bad;
+  }
+}
+
+// Only version 5 is read: the same body under any other header, resealed
+// so the checksum holds, is Corruption before a record is parsed.
+TEST(DeserializerTest, EarlierVersionsAreCorruption) {
+  Database db;
+  Populate(&db, 29);
+  const std::string text = SaveDatabaseToString(db).value();
+  ASSERT_TRUE(LoadDatabaseFromString(text).ok());
+  for (const char* header : {"TCHIMERA-SNAPSHOT 4", "TCHIMERA-SNAPSHOT 1"}) {
+    std::string relabelled = text;
+    relabelled.replace(0, relabelled.find('\n'), header);
+    relabelled = Reseal(relabelled);
+    Result<SnapshotInfo> info = ProbeSnapshot(relabelled);
+    ASSERT_TRUE(info.ok()) << info.status();
+    EXPECT_EQ(info->integrity.code(), StatusCode::kCorruption) << header;
+    Result<std::unique_ptr<Database>> loaded =
+        LoadDatabaseFromString(relabelled);
+    ASSERT_FALSE(loaded.ok()) << header;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << header;
+  }
 }
 
 TEST(JournalTest, ReplayReproducesState) {
@@ -295,26 +286,9 @@ TEST(JournalTest, ReplayPrefixBoundaries) {
   std::remove(path.c_str());
 }
 
-TEST(JournalTest, ReplaySkipsBlankLinesInV1Journals) {
-  std::string path = TempPath("blank.tql");
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "tick 1\n\n\ntick 2\n   \n";
-  }
-  Database db;
-  Interpreter interp(&db);
-  Result<size_t> applied = Journal::Replay(path, &interp);
-  ASSERT_TRUE(applied.ok()) << applied.status();
-  EXPECT_EQ(*applied, 2u);
-  EXPECT_EQ(db.now(), 3);
-  std::remove(path.c_str());
-}
-
 TEST(JournalTest, OperationsOnClosedJournalFail) {
   Journal never_opened;
   EXPECT_EQ(never_opened.Append("tick").code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(never_opened.Truncate().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(never_opened.Sync().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(never_opened.Rotate().status().code(),
@@ -328,8 +302,80 @@ TEST(JournalTest, OperationsOnClosedJournalFail) {
   journal.Close();
   EXPECT_EQ(journal.Append("tick").code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(journal.Truncate().code(), StatusCode::kFailedPrecondition);
   std::remove(path.c_str());
+}
+
+// Only framed v2 journals are read: a file of bare statements (the old
+// unframed format) is Corruption for every reader, and Open refuses it
+// without touching a byte.
+TEST(JournalTest, UnframedFileIsCorruptionAndLeftUntouched) {
+  const std::string dir = TempPath("unframed");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/journal.tql";
+  {
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << "tick 1\n";
+  }
+  auto read = [&path] {
+    return FileSystem::Default()->ReadFileToString(path).value();
+  };
+
+  Result<JournalScan> scan = ScanJournal(path);
+  ASSERT_FALSE(scan.ok());
+  EXPECT_EQ(scan.status().code(), StatusCode::kCorruption);
+  Result<TailScan> tail = ScanJournalTail(path, 0, 0, 10);
+  ASSERT_TRUE(tail.ok()) << tail.status();
+  EXPECT_EQ(tail->error.code(), StatusCode::kCorruption);
+  EXPECT_TRUE(tail->records.empty());
+
+  Database db;
+  Interpreter interp(&db);
+  Result<size_t> replayed = Journal::Replay(path, &interp);
+  ASSERT_FALSE(replayed.ok());
+  EXPECT_EQ(replayed.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(db.now(), 0);
+
+  RecoveryManager manager(dir + "/snapshot.tchdb", path);
+  Result<std::unique_ptr<Database>> recovered = manager.Recover(nullptr);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption);
+
+  Journal journal;
+  Status opened = journal.Open(path);
+  EXPECT_EQ(opened.code(), StatusCode::kCorruption) << opened;
+  EXPECT_FALSE(journal.is_open());
+  EXPECT_EQ(read(), "tick 1\n");
+  EXPECT_FALSE(std::filesystem::exists(path + ".corrupt"));
+  std::filesystem::remove_all(dir);
+}
+
+// A header torn at creation (a proper prefix of the header line) is
+// salvaged away, and Open starts the file over with a complete header, so
+// the records appended next are readable.
+TEST(JournalTest, OpenAfterATornHeaderWritesAFreshHeader) {
+  const std::string path = TempPath("torn_header.tql");
+  std::remove(path.c_str());
+  std::remove((path + ".corrupt").c_str());
+  {
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << "TCHIMERA-JOUR";
+  }
+  JournalOptions options;
+  options.epoch = 3;
+  {
+    Journal journal;
+    ASSERT_TRUE(journal.Open(path, options).ok());
+    EXPECT_EQ(journal.epoch(), 3u);
+    ASSERT_TRUE(journal.Append("tick 1").ok());
+  }
+  Result<JournalScan> scan = ScanJournal(path);
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  EXPECT_TRUE(scan->tail_error.ok()) << scan->tail_error;
+  EXPECT_EQ(scan->epoch, 3u);
+  EXPECT_EQ(scan->statements, std::vector<std::string>{"tick 1"});
+  std::remove(path.c_str());
+  std::remove((path + ".corrupt").c_str());
 }
 
 TEST(JournalTest, MutatingStatementMatchesWholeTokenOnly) {
@@ -359,9 +405,13 @@ TEST(JournalTest, MutatingStatementMatchesWholeTokenOnly) {
 
 TEST(JournalTest, ReplayFailsFastOnBadStatement) {
   std::string path = TempPath("bad.tql");
+  std::remove(path.c_str());
   {
-    std::ofstream out(path, std::ios::trunc);
-    out << "tick 1\nnot a statement\ntick 1\n";
+    Journal journal;
+    ASSERT_TRUE(journal.Open(path).ok());
+    for (const char* statement : {"tick 1", "not a statement", "tick 1"}) {
+      ASSERT_TRUE(journal.Append(statement).ok()) << statement;
+    }
   }
   Database db;
   Interpreter interp(&db);
@@ -505,48 +555,6 @@ TEST(SerializerTest, NewlineInDefinitionIsRejected) {
   Result<std::string> r = SaveDatabaseToString(db);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(SerializerTest, V2SnapshotStillLoads) {
-  Database db;
-  Populate(&db, 23);
-  const std::string expected = SaveDatabaseToString(db, 0).value();
-  ASSERT_TRUE(ActiveDatabase(&db)
-                  .Execute("constraint c on employee always x.salary > 0")
-                  .ok());
-  // A v3 snapshot: extents as set histories, DEFINE records.
-  std::string v3 =
-      WithSetHistoryExtents(SaveDatabaseToString(db, 6).value(), db);
-
-  // Shape the v3 text into its v2 equivalent: version 2 header, no DEFINE
-  // lines, checksum recomputed over the altered body (DEFINE lines never
-  // counted toward the footer's record count).
-  std::string v2 = v3;
-  size_t header_end = v2.find('\n');
-  ASSERT_NE(header_end, std::string::npos);
-  v2.replace(0, header_end, "TCHIMERA-SNAPSHOT 2");
-  size_t define_pos;
-  while ((define_pos = v2.find("\nDEFINE ")) != std::string::npos) {
-    v2.erase(define_pos + 1, v2.find('\n', define_pos + 1) - define_pos);
-  }
-  v2 = Reseal(v2);
-
-  Result<SnapshotInfo> info = ProbeSnapshot(v2);
-  ASSERT_TRUE(info.ok()) << info.status();
-  EXPECT_EQ(info->version, 2);
-  EXPECT_EQ(info->epoch, 6u);
-  EXPECT_TRUE(info->integrity.ok()) << info->integrity;
-
-  Result<std::unique_ptr<Database>> loaded = LoadDatabaseFromString(v2);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ((*loaded)->definitions(), nullptr);
-  EXPECT_EQ(SaveDatabaseToString(**loaded, 0).value(), expected);
-
-  // A DEFINE record in a v2 snapshot is corruption, not data: the tag was
-  // introduced with v3.
-  std::string bad = v3;
-  bad.replace(0, bad.find('\n'), "TCHIMERA-SNAPSHOT 2");
-  EXPECT_FALSE(LoadDatabaseFromString(Reseal(bad)).ok());
 }
 
 }  // namespace

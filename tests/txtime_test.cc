@@ -6,7 +6,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 
 #include "storage/journal.h"
 
@@ -19,17 +18,22 @@ class TxTimeTest : public ::testing::Test {
     path_ = (std::filesystem::temp_directory_path() /
              "tchimera_txtime_test.tql")
                 .string();
-    std::ofstream out(path_, std::ios::trunc);
-    // tx 1-2: schema + hire at valid time 0.
-    out << "define class worker attributes salary: temporal(integer) "
-           "end\n";
-    out << "create worker (salary: 100)\n";
-    // tx 3-4: time passes, a raise at valid time 10.
-    out << "advance to 10\n";
-    out << "update i1 set salary = 200\n";
-    // tx 5: a *retroactive* correction recorded later: the raise was
-    // really 150, effective from valid time 10.
-    out << "update i1 set salary = 150 during [10,now]\n";
+    std::remove(path_.c_str());
+    Journal journal;
+    ASSERT_TRUE(journal.Open(path_).ok());
+    for (const char* statement : {
+             // tx 1-2: schema + hire at valid time 0.
+             "define class worker attributes salary: temporal(integer) end",
+             "create worker (salary: 100)",
+             // tx 3-4: time passes, a raise at valid time 10.
+             "advance to 10",
+             "update i1 set salary = 200",
+             // tx 5: a *retroactive* correction recorded later: the raise
+             // was really 150, effective from valid time 10.
+             "update i1 set salary = 150 during [10,now]",
+         }) {
+      ASSERT_TRUE(journal.Append(statement).ok()) << statement;
+    }
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

@@ -213,18 +213,20 @@ TEST_F(VmDifferentialTest, RandomizedPredicates) {
   }
 }
 
-TEST_F(VmDifferentialTest, SessionCompileToggleMatches) {
-  // The same statements through Session with the compiled path on/off.
+TEST_F(VmDifferentialTest, SessionExecuteMatchesTheTreeWalker) {
+  // The same statements through Session (the compiled path) and through a
+  // tree-walking Interpreter over the same engine snapshot.
   Engine engine;
-  Session on = engine.OpenSession();
-  Session off = engine.OpenSession();
-  off.set_compile_enabled(false);
+  Session session = engine.OpenSession();
   for (const char* s :
        {"define class p attributes v: temporal(integer) end",
         "create p (v: 1)", "advance to 9", "update i1 set v = 5"}) {
-    Result<std::string> r = on.Execute(s);
+    Result<std::string> r = session.Execute(s);
     ASSERT_TRUE(r.ok()) << s << ": " << r.status();
   }
+  ReadSnapshot snap = engine.OpenSnapshot();
+  // Read-only statements only call const Database members.
+  Interpreter walker(const_cast<Database*>(&snap.db()));
   const std::string queries[] = {
       "select x, x.v from x in p where x.v > 0",
       "select x from x in p where x.v @ 3 = 1",
@@ -232,8 +234,8 @@ TEST_F(VmDifferentialTest, SessionCompileToggleMatches) {
       "when i1.v > 2 during [0,5]",
   };
   for (const std::string& q : queries) {
-    Result<std::string> compiled = on.Execute(q);
-    Result<std::string> walked = off.Execute(q);
+    Result<std::string> compiled = session.Execute(q);
+    Result<std::string> walked = walker.Execute(q);
     ASSERT_TRUE(compiled.ok()) << q << ": " << compiled.status();
     ASSERT_TRUE(walked.ok()) << q << ": " << walked.status();
     EXPECT_EQ(*compiled, *walked) << q;

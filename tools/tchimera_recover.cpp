@@ -6,7 +6,7 @@
 //   tchimera_recover verify  <dir>   dry-run full recovery with audit;
 //                                    exit 1 if the directory cannot be
 //                                    recovered to a consistent database
-//   tchimera_recover salvage <dir>   quarantine torn v2 journal tails to
+//   tchimera_recover salvage <dir>   quarantine torn journal tails to
 //                                    <journal>.corrupt (what recovery
 //                                    would do, without replaying)
 //   tchimera_recover verify-replica <replica-dir> <primary-dir>
