@@ -251,8 +251,10 @@ Database MakeHistoryDb(int history) {
   return db;
 }
 
-// N objects, each with `history` salary segments.
-Database MakeExtentDb(int objects, int history) {
+// N objects; every `stride`-th one gets a new salary at each of
+// `history - 1` steps, so stride 1 gives every object `history` salary
+// segments.
+Database MakeExtentDb(int objects, int history, int stride = 7) {
   Database db;
   Interpreter interp(&db);
   (void)interp.Execute(
@@ -265,7 +267,7 @@ Database MakeExtentDb(int objects, int history) {
   }
   for (int k = 1; k < history; ++k) {
     (void)interp.Execute("tick 2");
-    for (int i = 0; i < objects; i += 7) {
+    for (int i = 0; i < objects; i += stride) {
       (void)interp.Execute("update i" + std::to_string(i + 1) +
                            " set salary = " +
                            std::to_string((i + k) % 100));
@@ -273,6 +275,31 @@ Database MakeExtentDb(int objects, int history) {
   }
   return db;
 }
+
+// A compiled scan at a past instant over an extent far larger than L2:
+// 4000 employees with 16 salary segments each. Every row projects a
+// temporal attribute at the instant, so this measures the VM's per-row
+// object, slot and segment lookups rather than dispatch.
+constexpr int kPastScanObjects = 4000;
+constexpr int kPastScanHistory = 16;
+constexpr const char* kPastScan =
+    "select x.name, x.salary from x in employee at 15 where x.salary > 40";
+
+void BM_CompiledPastScan(benchmark::State& state) {
+  static Database& db = *new Database(
+      MakeExtentDb(kPastScanObjects, kPastScanHistory, 1));
+  Statement stmt = ParseStatement(kPastScan).value();
+  LowerOutcome outcome = LowerStatement(&stmt, db).value();
+  const ExecProgram& prog = outcome.plan->program;
+  for (auto _ : state) {
+    auto rows = RunSelect(prog, db);
+    if (!rows.ok()) state.SkipWithError("vm failed");
+    benchmark::DoNotOptimize(rows);
+  }
+  state.SetLabel("objects=" + std::to_string(kPastScanObjects) +
+                 " segments=" + std::to_string(kPastScanHistory));
+}
+BENCHMARK(BM_CompiledPastScan)->Unit(benchmark::kMicrosecond);
 
 // Each sweep point compares the two paths as a Session executes them
 // per statement:
@@ -316,11 +343,8 @@ SweepPoint MeasureWhenPoint(int history) {
   return p;
 }
 
-SweepPoint MeasureSelectPoint(int objects, int history) {
-  Database db = MakeExtentDb(objects, history);
-  const std::string q =
-      "select x.name from x in employee where x.salary > 40 and "
-      "x.salary < 90";
+SweepPoint MeasureSelectPoint(const std::string& q, Database db,
+                              int objects) {
   Statement stmt = ParseStatement(q).value();
   LowerOutcome outcome = LowerStatement(&stmt, db).value();
   const ExecProgram& prog = outcome.plan->program;
@@ -476,7 +500,15 @@ int WriteQueryReport(const std::string& path) {
   }
   std::vector<SweepPoint> extent_sweep;
   for (int n : {100, 1000, 4000}) {
-    extent_sweep.push_back(MeasureSelectPoint(n, 16));
+    extent_sweep.push_back(MeasureSelectPoint(
+        "select x.name from x in employee where x.salary > 40 and "
+        "x.salary < 90",
+        MakeExtentDb(n, 16), n));
+  }
+  std::vector<SweepPoint> past_scan_sweep;
+  for (int n : {1000, kPastScanObjects}) {
+    past_scan_sweep.push_back(MeasureSelectPoint(
+        kPastScan, MakeExtentDb(n, kPastScanHistory, 1), n));
   }
   std::vector<IndexPoint> index_select_sweep;
   for (int n : {100, 1000, 4000}) {
@@ -508,6 +540,9 @@ int WriteQueryReport(const std::string& path) {
   json += "  ],\n";
   json += "  \"extent_sweep\": [\n";
   AppendSweep(extent_sweep, "objects", &json);
+  json += "  ],\n";
+  json += "  \"past_scan_sweep\": [\n";
+  AppendSweep(past_scan_sweep, "objects", &json);
   json += "  ],\n";
   json += "  \"index_select_sweep\": [\n";
   AppendIndexSweep(index_select_sweep, "objects", &json);

@@ -2,11 +2,20 @@
 #ifndef TCHIMERA_COMMON_STRING_UTIL_H_
 #define TCHIMERA_COMMON_STRING_UTIL_H_
 
+#include <charconv>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace tchimera {
+
+// Appends the decimal form of the integer `v` (what std::to_string
+// prints) to `out` without a temporary string.
+template <typename Int>
+void AppendDecimal(Int v, std::string* out) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
 
 // Joins `parts` with `sep`: Join({"a","b"}, ", ") == "a, b".
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);

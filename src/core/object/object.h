@@ -66,6 +66,20 @@ class Object {
   // The stored value of `name` (the whole temporal function for a temporal
   // attribute); nullptr if the object carries no such attribute.
   const Value* Attribute(std::string_view name) const;
+  // Attribute(name) that tries slot `*hint` first and, on a miss, stores
+  // the slot the search found. Objects of one class share a layout, so a
+  // scan that carries one hint across its rows almost always skips the
+  // search; the slot is checked by name, so a stale hint (another class,
+  // a migrated object) costs only the search it would have paid anyway.
+  const Value* Attribute(std::string_view name, size_t* hint) const {
+    if (*hint < attributes_.size() && attributes_[*hint].name == name) {
+      return &attributes_[*hint].value;
+    }
+    const Attr* a = FindAttr(name);
+    if (a == nullptr) return nullptr;
+    *hint = static_cast<size_t>(a - attributes_.data());
+    return &a->value;
+  }
   std::vector<std::string> AttributeNames() const;
 
   // Sets / replaces the full stored value (static value or whole temporal

@@ -45,7 +45,8 @@ constexpr TimePoint ResolveInstant(TimePoint t, TimePoint current) {
 }
 
 // Renders an instant: "now" for the symbolic constant, the decimal value
-// otherwise.
+// otherwise. AppendInstant appends the same text to `out`.
+void AppendInstant(TimePoint t, std::string* out);
 std::string InstantToString(TimePoint t);
 
 }  // namespace tchimera

@@ -2,11 +2,22 @@
 
 #include <algorithm>
 
+#include "common/string_util.h"
+
 namespace tchimera {
 
+void AppendInstant(TimePoint t, std::string* out) {
+  if (IsNow(t)) {
+    out->append("now");
+  } else {
+    AppendDecimal(t, out);
+  }
+}
+
 std::string InstantToString(TimePoint t) {
-  if (IsNow(t)) return "now";
-  return std::to_string(t);
+  std::string out;
+  AppendInstant(t, &out);
+  return out;
 }
 
 const char* AllenRelationName(AllenRelation r) {
@@ -113,9 +124,20 @@ std::optional<AllenRelation> Interval::RelationTo(const Interval& other,
                              : AllenRelation::kOverlappedBy;
 }
 
+void Interval::AppendTo(std::string* out) const {
+  out->push_back('[');
+  if (!empty()) {
+    AppendInstant(start_, out);
+    out->push_back(',');
+    AppendInstant(end_, out);
+  }
+  out->push_back(']');
+}
+
 std::string Interval::ToString() const {
-  if (empty()) return "[]";
-  return "[" + InstantToString(start_) + "," + InstantToString(end_) + "]";
+  std::string out;
+  AppendTo(&out);
+  return out;
 }
 
 }  // namespace tchimera

@@ -103,7 +103,8 @@ class Interval {
     return !(a == b);
   }
 
-  // "[3,17]", "[10,now]", or "[]".
+  // "[3,17]", "[10,now]", or "[]"; AppendTo appends it to `out`.
+  void AppendTo(std::string* out) const;
   std::string ToString() const;
 
  private:

@@ -140,7 +140,7 @@ std::string IntervalSet::ToString() const {
   std::string out = "{";
   for (size_t i = 0; i < intervals_.size(); ++i) {
     if (i > 0) out += ",";
-    out += intervals_[i].ToString();
+    intervals_[i].AppendTo(&out);
   }
   out += "}";
   return out;

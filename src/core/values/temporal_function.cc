@@ -176,14 +176,22 @@ int TemporalFunction::Compare(const TemporalFunction& a,
   return 0;
 }
 
-std::string TemporalFunction::ToString() const {
-  std::string out = "{";
+void TemporalFunction::AppendTo(std::string* out) const {
+  out->push_back('{');
   for (size_t i = 0; i < segments_.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "<" + segments_[i].interval.ToString() + "," +
-           segments_[i].value.ToString() + ">";
+    if (i > 0) out->push_back(',');
+    out->push_back('<');
+    segments_[i].interval.AppendTo(out);
+    out->push_back(',');
+    segments_[i].value.AppendTo(out);
+    out->push_back('>');
   }
-  out += "}";
+  out->push_back('}');
+}
+
+std::string TemporalFunction::ToString() const {
+  std::string out;
+  AppendTo(&out);
   return out;
 }
 

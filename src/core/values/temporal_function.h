@@ -92,7 +92,9 @@ class TemporalFunction {
   // values containing temporal functions.
   static int Compare(const TemporalFunction& a, const TemporalFunction& b);
 
-  // "{<[5,10],12>,<[11,now],5>}" (paper notation).
+  // "{<[5,10],12>,<[11,now],5>}" (paper notation); AppendTo appends it
+  // to `out`.
+  void AppendTo(std::string* out) const;
   std::string ToString() const;
 
   size_t ApproxBytes() const;

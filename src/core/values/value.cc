@@ -37,47 +37,14 @@ const char* ValueKindName(ValueKind kind) {
 }
 
 // Structured payload. Only the member matching the value's kind is used.
+// The temporal function comes first so that Value::Prefetch, which
+// fetches the start of the Rep, brings in its segment table header.
 struct Value::Rep {
+  TemporalFunction temporal;         // kTemporal
   std::string str;                   // kString
   std::vector<Value> elements;       // kSet / kList
   std::vector<Value::Field> fields;  // kRecord
-  TemporalFunction temporal;         // kTemporal
 };
-
-Value::Value() = default;
-Value::~Value() = default;
-Value::Value(const Value&) = default;
-Value& Value::operator=(const Value&) = default;
-Value::Value(Value&&) noexcept = default;
-Value& Value::operator=(Value&&) noexcept = default;
-
-Value Value::Integer(int64_t v) {
-  Value out;
-  out.kind_ = ValueKind::kInteger;
-  out.scalar_ = v;
-  return out;
-}
-
-Value Value::Real(double v) {
-  Value out;
-  out.kind_ = ValueKind::kReal;
-  out.real_ = v;
-  return out;
-}
-
-Value Value::Bool(bool v) {
-  Value out;
-  out.kind_ = ValueKind::kBool;
-  out.scalar_ = v ? 1 : 0;
-  return out;
-}
-
-Value Value::Char(char v) {
-  Value out;
-  out.kind_ = ValueKind::kChar;
-  out.scalar_ = static_cast<int64_t>(v);
-  return out;
-}
 
 Value Value::String(std::string v) {
   Value out;
@@ -85,20 +52,6 @@ Value Value::String(std::string v) {
   auto rep = std::make_shared<Rep>();
   rep->str = std::move(v);
   out.rep_ = std::move(rep);
-  return out;
-}
-
-Value Value::Time(TimePoint t) {
-  Value out;
-  out.kind_ = ValueKind::kTime;
-  out.scalar_ = t;
-  return out;
-}
-
-Value Value::OfOid(Oid oid) {
-  Value out;
-  out.kind_ = ValueKind::kOid;
-  out.scalar_ = static_cast<int64_t>(oid.id);
   return out;
 }
 

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/string_util.h"
 #include "core/temporal/instant.h"
 
 namespace tchimera {
@@ -43,7 +44,15 @@ struct Oid {
 
   static constexpr Oid Invalid() { return Oid{0}; }
   bool valid() const { return id != 0; }
-  std::string ToString() const { return "i" + std::to_string(id); }
+  void AppendTo(std::string* out) const {
+    out->push_back('i');
+    AppendDecimal(id, out);
+  }
+  std::string ToString() const {
+    std::string out;
+    AppendTo(&out);
+    return out;
+  }
 
   friend auto operator<=>(const Oid&, const Oid&) = default;
 };
@@ -69,22 +78,34 @@ class Value {
  public:
   using Field = std::pair<std::string, Value>;
 
-  // The null value.
-  Value();
-  ~Value();
-  Value(const Value&);
-  Value& operator=(const Value&);
-  Value(Value&&) noexcept;
-  Value& operator=(Value&&) noexcept;
+  // The null value. Copy, move and destruction are inline: the batch VM
+  // copies and overwrites scalar Values per row, and an out-of-line call
+  // per copy dominated its projections. shared_ptr needs no complete Rep
+  // for any of them (the deleter is bound where a Rep is created).
+  Value() = default;
+  ~Value() = default;
+  Value(const Value&) = default;
+  Value& operator=(const Value&) = default;
+  Value(Value&&) noexcept = default;
+  Value& operator=(Value&&) noexcept = default;
 
   static Value Null() { return Value(); }
-  static Value Integer(int64_t v);
-  static Value Real(double v);
-  static Value Bool(bool v);
-  static Value Char(char v);
+  static Value Integer(int64_t v) { return Scalar(ValueKind::kInteger, v); }
+  static Value Real(double v) {
+    Value out;
+    out.kind_ = ValueKind::kReal;
+    out.real_ = v;
+    return out;
+  }
+  static Value Bool(bool v) { return Scalar(ValueKind::kBool, v ? 1 : 0); }
+  static Value Char(char v) {
+    return Scalar(ValueKind::kChar, static_cast<int64_t>(v));
+  }
   static Value String(std::string v);
-  static Value Time(TimePoint t);
-  static Value OfOid(Oid oid);
+  static Value Time(TimePoint t) { return Scalar(ValueKind::kTime, t); }
+  static Value OfOid(Oid oid) {
+    return Scalar(ValueKind::kOid, static_cast<int64_t>(oid.id));
+  }
   // A set value; elements are sorted and deduplicated (sets are sets).
   static Value Set(std::vector<Value> elements);
   static Value EmptySet() { return Set({}); }
@@ -115,6 +136,13 @@ class Value {
   // The temporal function; requires kTemporal.
   const TemporalFunction& AsTemporal() const;
 
+  // Starts loading this value's structured payload into cache (for a
+  // temporal value, the head of its function), so a later access does
+  // not stall on it. A no-op for scalars.
+  void Prefetch() const {
+    if (rep_ != nullptr) __builtin_prefetch(rep_.get());
+  }
+
   // True if `element` is a member of this set/list value.
   bool Contains(const Value& element) const;
 
@@ -141,7 +169,9 @@ class Value {
 
   // Rendering in the paper's notation, e.g.
   //   (name:'Bob',score:{<[1,100],40>,<[101,200],70>})
-  // Implemented in value_printer.cc.
+  // AppendTo appends it to `out` without building intermediate strings;
+  // ToString is a wrapper over it. Implemented in value_printer.cc.
+  void AppendTo(std::string* out) const;
   std::string ToString() const;
 
   // Approximate heap footprint in bytes (storage accounting for the
@@ -150,6 +180,13 @@ class Value {
 
  private:
   struct Rep;  // structured payload (string/set/list/record/temporal)
+
+  static Value Scalar(ValueKind kind, int64_t v) {
+    Value out;
+    out.kind_ = kind;
+    out.scalar_ = v;
+    return out;
+  }
 
   ValueKind kind_ = ValueKind::kNull;
   int64_t scalar_ = 0;  // integer / bool / char / time / oid

@@ -3,7 +3,7 @@
 //   integers                 42
 //   reals                    3.5
 //   bools                    true / false
-//   chars                    'c' (single-quoted, one character)
+//   chars                    c'x' (c, then the character single-quoted)
 //   strings                  'IDEA' (single-quoted, escaped)
 //   time                     t17 / tnow
 //   oids                     i4
@@ -13,27 +13,28 @@
 //   temporal functions       {<[20,45],i4>,<[46,now],i9>}
 #include <cstdio>
 
+#include "common/string_util.h"
 #include "core/values/temporal_function.h"
 #include "core/values/value.h"
 
 namespace tchimera {
 namespace {
 
-void AppendEscapedQuoted(const std::string& s, std::string* out) {
+void AppendEscapedQuoted(std::string_view s, std::string* out) {
   out->push_back('\'');
   for (char c : s) {
     switch (c) {
       case '\'':
-        *out += "\\'";
+        out->append("\\'");
         break;
       case '\\':
-        *out += "\\\\";
+        out->append("\\\\");
         break;
       case '\n':
-        *out += "\\n";
+        out->append("\\n");
         break;
       case '\t':
-        *out += "\\t";
+        out->append("\\t");
         break;
       default:
         out->push_back(c);
@@ -42,68 +43,81 @@ void AppendEscapedQuoted(const std::string& s, std::string* out) {
   out->push_back('\'');
 }
 
-std::string FormatReal(double v) {
+void AppendReal(double v, std::string* out) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  std::string s(buf);
+  const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
+  const std::string_view s(buf, static_cast<size_t>(n));
+  out->append(s);
   // Ensure the token re-parses as a real, not an integer.
-  if (s.find_first_of(".eEnN") == std::string::npos) s += ".0";
-  return s;
+  if (s.find_first_of(".eEnN") == std::string_view::npos) out->append(".0");
 }
 
 }  // namespace
 
-std::string Value::ToString() const {
+void Value::AppendTo(std::string* out) const {
   switch (kind_) {
     case ValueKind::kNull:
-      return "null";
+      out->append("null");
+      return;
     case ValueKind::kInteger:
-      return std::to_string(scalar_);
+      AppendDecimal(scalar_, out);
+      return;
     case ValueKind::kReal:
-      return FormatReal(real_);
+      AppendReal(real_, out);
+      return;
     case ValueKind::kBool:
-      return scalar_ != 0 ? "true" : "false";
+      out->append(scalar_ != 0 ? "true" : "false");
+      return;
     case ValueKind::kChar: {
-      std::string out;
-      AppendEscapedQuoted(std::string(1, static_cast<char>(scalar_)), &out);
-      return "c" + out;
+      const char c = static_cast<char>(scalar_);
+      out->push_back('c');
+      AppendEscapedQuoted(std::string_view(&c, 1), out);
+      return;
     }
-    case ValueKind::kString: {
-      std::string out;
-      AppendEscapedQuoted(AsString(), &out);
-      return out;
-    }
+    case ValueKind::kString:
+      AppendEscapedQuoted(AsString(), out);
+      return;
     case ValueKind::kTime:
-      return "t" + InstantToString(scalar_);
+      out->push_back('t');
+      AppendInstant(scalar_, out);
+      return;
     case ValueKind::kOid:
-      return AsOid().ToString();
+      AsOid().AppendTo(out);
+      return;
     case ValueKind::kSet:
     case ValueKind::kList: {
-      const char open = kind_ == ValueKind::kSet ? '{' : '[';
-      const char close = kind_ == ValueKind::kSet ? '}' : ']';
-      std::string out(1, open);
+      out->push_back(kind_ == ValueKind::kSet ? '{' : '[');
       const auto& elems = Elements();
       for (size_t i = 0; i < elems.size(); ++i) {
-        if (i > 0) out += ",";
-        out += elems[i].ToString();
+        if (i > 0) out->push_back(',');
+        elems[i].AppendTo(out);
       }
-      out.push_back(close);
-      return out;
+      out->push_back(kind_ == ValueKind::kSet ? '}' : ']');
+      return;
     }
     case ValueKind::kRecord: {
-      std::string out = "(";
+      out->push_back('(');
       const auto& fields = Fields();
       for (size_t i = 0; i < fields.size(); ++i) {
-        if (i > 0) out += ",";
-        out += fields[i].first + ":" + fields[i].second.ToString();
+        if (i > 0) out->push_back(',');
+        out->append(fields[i].first);
+        out->push_back(':');
+        fields[i].second.AppendTo(out);
       }
-      out += ")";
-      return out;
+      out->push_back(')');
+      return;
     }
     case ValueKind::kTemporal:
-      return AsTemporal().ToString();
+      AsTemporal().AppendTo(out);
+      return;
   }
-  return "?";
+  out->push_back('?');
+}
+
+std::string Value::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
 }
 
 }  // namespace tchimera

@@ -26,13 +26,13 @@ Result<Value> EvalConst(const Expr& e, const Database& db) {
 std::string FormatSelectRows(const std::vector<SelectRow>& rows) {
   std::string out;
   for (const SelectRow& row : rows) {
-    if (!out.empty()) out += "\n";
+    if (!out.empty()) out.push_back('\n');
     if (row.columns.empty()) {
-      out += row.oid.ToString();
+      row.oid.AppendTo(&out);
     } else {
       for (size_t i = 0; i < row.columns.size(); ++i) {
-        if (i > 0) out += " | ";
-        out += row.columns[i].ToString();
+        if (i > 0) out.append(" | ");
+        row.columns[i].AppendTo(&out);
       }
     }
   }

@@ -18,6 +18,9 @@ bool Truthy(const Value& v) { return !v.is_null() && v.AsBool(); }
 // registers), not per Col.
 struct Col {
   bool uniform = false;
+  // The column holds the select binder (written by kLoadSelf), so its
+  // rows' objects are already resolved in Vm::objects().
+  bool binder = false;
   const Value* uval = nullptr;  // into ExecProgram::constants
   Value* vals = nullptr;        // batch_cap slots in the column arena
 };
@@ -37,6 +40,7 @@ class Vm {
       cols_[r].vals = arena_.data() + r * batch_cap;
     }
     instants_.resize(batch_cap);
+    stored_.resize(batch_cap);
     // Sized once so the pool never grows mid-fragment: `cur` references
     // a pool entry while a mask instruction fills the next one, and a
     // reallocation would invalidate it.
@@ -50,11 +54,16 @@ class Vm {
     mask_pool_.resize(mask_ops);
   }
 
-  // Lazily sized: only RunSelect uses the binder column, so WHEN
-  // programs never pay for it.
+  // Lazily sized: only RunSelect uses the binder columns, so WHEN
+  // programs never pay for them.
   std::vector<Value>& self() {
     if (self_.size() < batch_cap_) self_.resize(batch_cap_);
     return self_;
+  }
+  // The binder's object per row (nullptr if the oid resolves to none).
+  std::vector<const Object*>& objects() {
+    if (objects_.size() < batch_cap_) objects_.resize(batch_cap_);
+    return objects_;
   }
   std::vector<TimePoint>& instants() { return instants_; }
 
@@ -80,6 +89,7 @@ class Vm {
   Value* Dst(const Instr& in) {
     Col& c = cols_[in.dst];
     c.uniform = false;
+    c.binder = false;
     return c.vals;
   }
 
@@ -88,12 +98,14 @@ class Vm {
       case OpCode::kLoadConst: {
         Col& c = cols_[in.dst];
         c.uniform = true;
+        c.binder = false;
         c.uval = &prog_.constants[in.idx];
         return Status::OK();
       }
       case OpCode::kLoadSelf: {
         Value* out = Dst(in);
         for (uint32_t row : cur) out[row] = self_[row];
+        cols_[in.dst].binder = true;
         return Status::OK();
       }
       case OpCode::kLoadAttr:
@@ -311,25 +323,41 @@ class Vm {
       }
       return Status::OK();
     }
-    const bool fixed_at = in.at.has_value();
-    const TimePoint at_t = fixed_at ? ResolveInstant(*in.at, now_) : 0;
+    // Per-row bases, in two passes. Pass one resolves every row's stored
+    // attribute: the object comes from the binder (resolved once per row
+    // by RunSelect) or from the base oid, and the slot from a hint shared
+    // by the batch. It also prefetches each temporal function. Pass two
+    // projects every row at its instant. Split this way, the rows' cache
+    // misses overlap instead of each row paying its own chain of
+    // dependent loads (object, slot, function, segments) in turn.
+    const Object* const* bound = base.binder ? objects_.data() : nullptr;
+    const Value** stored = stored_.data();
+    size_t hint = 0;
     for (uint32_t row : cur) {
       const Value& b = base.vals[row];
-      if (b.is_null()) {
-        out[row] = Value::Null();
+      const Object* obj;
+      if (bound != nullptr) {
+        obj = bound[row];
+      } else if (b.is_null()) {
+        stored[row] = nullptr;
         continue;
+      } else {
+        obj = db_.GetObject(b.AsOid());
       }
-      const Object* obj = db_.GetObject(b.AsOid());
       if (obj == nullptr) {
         return Status::NotFound("dangling reference " + b.AsOid().ToString());
       }
-      const Value* stored = obj->Attribute(in.attr);
-      if (stored == nullptr) {
-        out[row] = Value::Null();
-        continue;
-      }
-      out[row] = ProjectStoredAttribute(*stored,
-                                        fixed_at ? at_t : instants_[row]);
+      const Value* v = obj->Attribute(in.attr, &hint);
+      if (v != nullptr) v->Prefetch();
+      stored[row] = v;
+    }
+    const bool fixed_at = in.at.has_value();
+    const TimePoint at_t = fixed_at ? ResolveInstant(*in.at, now_) : 0;
+    for (uint32_t row : cur) {
+      const Value* v = stored[row];
+      out[row] = v == nullptr ? Value::Null()
+                              : ProjectStoredAttribute(
+                                    *v, fixed_at ? at_t : instants_[row]);
     }
     return Status::OK();
   }
@@ -341,6 +369,8 @@ class Vm {
   std::vector<Col> cols_;
   std::vector<Value> arena_;         // column storage, num_regs x batch_cap
   std::vector<Value> self_;          // select: the row's binder oid (lazy)
+  std::vector<const Object*> objects_;  // select: the binder's object (lazy)
+  std::vector<const Value*> stored_;    // kLoadAttr: each row's stored value
   std::vector<TimePoint> instants_;  // per-row evaluation instant (resolved)
   // Selection-vector stack: mask_pool_[0..mask_depth_) are the open mask
   // windows; entries are reused, never reallocated mid-fragment.
@@ -384,6 +414,7 @@ Result<std::vector<SelectRow>> RunSelect(const ExecProgram& prog,
     const size_t n = std::min(kVmBatchSize, oids.size() - batch);
     for (size_t i = 0; i < n; ++i) {
       vm.self()[i] = Value::OfOid(oids[batch + i]);
+      vm.objects()[i] = db.GetObject(oids[batch + i]);
       vm.instants()[i] = at;
     }
     sel.resize(n);

@@ -23,7 +23,9 @@
 //
 // RunSelect evaluates WHERE for the whole batch, compacts the selection
 // to the surviving rows, and only then evaluates projections (the
-// tree-walker projects per passing row — same set of evaluations).
+// tree-walker projects per passing row — same set of evaluations). It
+// looks each row's binder object up once; attribute loads on the binder
+// reuse that pointer instead of repeating the lookup.
 // RunWhen evaluates the condition once per boundary (the boundaries are
 // the batch rows, ascending), and walks temporal attribute histories
 // *linearly* alongside them — a merge-walk, not a binary search per

@@ -670,9 +670,15 @@ TEST(ReplicationTest, SnapshotReadsRaceFreeWithApply) {
       ReadSnapshot snap = replica.value()->OpenSnapshot();
       // Touch the snapshot: versions must be immutable under the reader.
       (void)snap.db().now();
-      reads.fetch_add(1, std::memory_order_relaxed);
+      reads.fetch_add(1, std::memory_order_release);
     }
   });
+  // Drain only once the reader is demonstrably running: otherwise a
+  // loaded host may finish the drain before the reader is scheduled,
+  // and the race this test exists for never happens.
+  while (reads.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
   Status drained = shipper.DrainAll();
   done.store(true, std::memory_order_release);
   reader.join();

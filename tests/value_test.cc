@@ -2,7 +2,11 @@
 // canonicalization, the total order, printing and parsing.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
+#include <set>
+#include <string>
+#include <utility>
 
 #include "core/types/type_registry.h"
 #include "core/values/temporal_function.h"
@@ -120,6 +124,73 @@ TEST(ValueTest, PrinterMatchesPaperNotation) {
                   .value();
   EXPECT_EQ(rec.ToString(),
             "(name:'Bob',score:{<[1,100],40>,<[101,200],70>})");
+}
+
+TEST(ValueTest, AppendToMatchesToStringForEveryKind) {
+  // A temporal record inside a record: (id, addr) where addr is a
+  // history of records.
+  TemporalFunction addr;
+  ASSERT_TRUE(addr.Define(Interval(1, 5),
+                          Value::Record({{"city", Value::String("Rome")},
+                                         {"zip", Value::Integer(1)}})
+                              .value())
+                  .ok());
+  ASSERT_TRUE(addr.AssertFrom(6, Value::Record({{"city", Value::String(
+                                                          "O'slo\n")}})
+                                     .value())
+                  .ok());
+  const Value nested = Value::Record({{"id", Value::OfOid(Oid{3})},
+                                      {"addr", Value::Temporal(addr)}})
+                           .value();
+  const std::pair<Value, std::string> cases[] = {
+      {Value::Null(), "null"},
+      {Value::Integer(-17), "-17"},
+      {Value::Integer(std::numeric_limits<int64_t>::min()),
+       "-9223372036854775808"},
+      {Value::Real(3.0), "3.0"},
+      {Value::Real(-0.0), "-0.0"},
+      {Value::Real(2.5), "2.5"},
+      {Value::Real(1e20), "1e+20"},
+      {Value::Bool(true), "true"},
+      {Value::Bool(false), "false"},
+      {Value::Char('x'), "c'x'"},
+      {Value::Char('\''), "c'\\''"},
+      {Value::Char('\\'), "c'\\\\'"},
+      {Value::Char('\n'), "c'\\n'"},
+      {Value::Char('\t'), "c'\\t'"},
+      {Value::String("a'b\\c\nd\te"), "'a\\'b\\\\c\\nd\\te'"},
+      {Value::String(""), "''"},
+      {Value::Time(17), "t17"},
+      {Value::Time(kNow), "tnow"},
+      {Value::OfOid(Oid{42}), "i42"},
+      {Value::Set({Value::Integer(2), Value::String("s")}), "{2,'s'}"},
+      {Value::EmptySet(), "{}"},
+      {Value::List({Value::Bool(true), Value::Null()}), "[true,null]"},
+      {Value::Record({}).value(), "()"},
+      {Value::Temporal(TemporalFunction()), "{}"},
+      {Value::Temporal(
+           TemporalFunction::Constant(Interval(4, kNow), Value::Real(1.0))),
+       "{<[4,now],1.0>}"},
+      {nested,
+       "(addr:{<[1,5],(city:'Rome',zip:1)>,<[6,now],(city:'O\\'slo\\n')>},"
+       "id:i3)"},
+  };
+  std::set<ValueKind> kinds;
+  for (const auto& [value, text] : cases) {
+    kinds.insert(value.kind());
+    EXPECT_EQ(value.ToString(), text);
+    // AppendTo appends: what is already in the buffer stays.
+    std::string out = "prefix|";
+    value.AppendTo(&out);
+    EXPECT_EQ(out, "prefix|" + text);
+  }
+  EXPECT_EQ(kinds.size(), static_cast<size_t>(ValueKind::kTemporal) + 1);
+  // Intervals render through the same path.
+  std::string out;
+  Interval(3, kNow).AppendTo(&out);
+  Interval::Empty().AppendTo(&out);
+  EXPECT_EQ(out, "[3,now][]");
+  EXPECT_EQ(Interval(3, 17).ToString(), "[3,17]");
 }
 
 class ValueRoundTripTest : public ::testing::TestWithParam<const char*> {};

@@ -5,6 +5,7 @@
 // behaviour (hits, DDL invalidation) through Engine/Session.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <random>
 #include <string>
@@ -240,6 +241,164 @@ TEST_F(VmDifferentialTest, SessionExecuteMatchesTheTreeWalker) {
     ASSERT_TRUE(walked.ok()) << q << ": " << walked.status();
     EXPECT_EQ(*compiled, *walked) << q;
   }
+}
+
+// The scan kernel's per-row paths over a larger, mixed database: three
+// classes with different attribute layouts in one extent (the slot hint
+// misses and re-finds), Section 5.2 migrations that leave closed temporal
+// attributes behind, null and dangling reference bases, explicit `@ t`
+// projections, and an extent of more than one 256-row batch.
+class VmScanKernelTest : public VmDifferentialTest {
+ protected:
+  void SetUp() override {
+    VmDifferentialTest::SetUp();
+    Interpreter interp(&db_);
+    auto run = [&](const std::string& s) {
+      auto r = interp.Execute(s);
+      ASSERT_TRUE(r.ok()) << s << ": " << r.status();
+    };
+    run("define class manager under employee attributes "
+        "level: temporal(integer) end");
+    run("define class project attributes name: string, "
+        "subproject: project end");
+    // i4 .. i303, cycling person / employee / manager; birth years are
+    // unique, so a predicate can single out one row past the first batch.
+    for (int i = 0; i < kMembers; ++i) {
+      const std::string n = std::to_string(i);
+      const std::string common =
+          "name: 'm" + n + "', birthyear: " + std::to_string(1500 + i);
+      switch (i % 3) {
+        case 0:
+          run("create person (" + common + ")");
+          break;
+        case 1:
+          run("create employee (" + common + ", salary: " + n +
+              ", office: 'o" + std::to_string(i % 7) + "')");
+          break;
+        default:
+          run("create manager (" + common + ", salary: " +
+              std::to_string(1000 + i) + ", office: 'x', level: " +
+              std::to_string(i % 4) + ")");
+          break;
+      }
+    }
+    run("advance to 70");
+    for (int i = 1; i < kMembers; i += 5) {
+      if (i % 3 == 0) continue;
+      run("update " + Member(i) + " set salary = " +
+          std::to_string(i * 3));
+    }
+    run("advance to 80");
+    for (int i = 1; i < kMembers; i += 3) {
+      if (i % 9 == 1) {
+        // Generalization: the employee keeps its salary history, closed
+        // at 79, and loses its static office (Section 5.2).
+        run("migrate " + Member(i) + " to person");
+      } else if (i % 9 == 4) {
+        run("migrate " + Member(i) + " to manager set level = 7");
+      }
+    }
+    for (int i = 0; i < kMembers; i += 11) {
+      run("update " + Member(i) + " set name = 'r" + std::to_string(i) +
+          "'");
+    }
+    run("create project (name: 'root')");
+    run("create project (name: 'child', subproject: i304)");
+    run("create project (name: 'orphan')");
+    run("create project (name: 'doomed')");
+    run("create project (name: 'dangler', subproject: i307)");
+    run("create project (name: 'grandchild', subproject: i305)");
+    run("advance to 90");
+    // Erase i307 outright: the dangler's reference no longer resolves.
+    ASSERT_TRUE(db_.QuarantineObject(Oid{307}).ok());
+  }
+
+  static constexpr int kMembers = 300;
+  // The oid of the i-th object created above.
+  static std::string Member(int i) { return "i" + std::to_string(4 + i); }
+};
+
+TEST_F(VmScanKernelTest, MixedLayoutsMissAndRefindTheSlotHint) {
+  const std::string queries[] = {
+      "select x.name, x.birthyear from x in person",
+      "select x, x.name from x in person where x.birthyear < 1600",
+      "select x.name from x in person at 65",
+      "select x.name, x.salary, x.level from x in manager",
+      "select x.name, x.salary, x.office from x in employee",
+      "select x.level, x.name from x in employee where x.salary > 500",
+  };
+  for (const std::string& q : queries) ExpectSame(q);
+}
+
+TEST_F(VmScanKernelTest, MigratedObjectsKeepClosedTemporalAttributes) {
+  const std::string queries[] = {
+      "select x, x.salary, x.office from x in employee at 75",
+      "select x.salary from x in employee at 75 where x.salary > 100",
+      "select x, x.name from x in employee at 75 where x.office = null",
+      "select x.level from x in manager at 85",
+  };
+  for (const std::string& q : queries) ExpectSame(q);
+  // i5 left employee at 80: at 75 it is still a member, its salary comes
+  // from the closed history and its dropped static office is null.
+  Result<std::string> rows = RunCompiled(queries[0], db_);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_NE(rows->find("i5 | 3 | null"), std::string::npos) << *rows;
+}
+
+TEST_F(VmScanKernelTest, NullAndDanglingReferenceBases) {
+  const std::string queries[] = {
+      "select x.name, x.subproject.name from x in project "
+      "where x.name <> 'dangler'",
+      "select x from x in project where x.subproject.name = 'root'",
+      "select x.subproject.name @ 1 from x in project "
+      "where x.name <> 'dangler'",
+      // Two hops: the register that held the binder is reused for the
+      // first hop's oids, so the second hop must not take the binder's
+      // objects.
+      "select x.subproject.subproject.name from x in project "
+      "where x.name <> 'dangler'",
+      // The dangling base errors on both paths, with the same message.
+      "select x.name, x.subproject.name from x in project",
+      "select x from x in project where x.subproject.name <> 'root'",
+  };
+  for (const std::string& q : queries) ExpectSame(q);
+  Result<std::string> nulls = RunCompiled(queries[0], db_);
+  ASSERT_TRUE(nulls.ok()) << nulls.status();
+  EXPECT_EQ(*nulls,
+            "'root' | null\n'child' | 'root'\n'orphan' | null\n"
+            "'grandchild' | 'child'");
+  Result<std::string> dangling = RunCompiled(queries[4], db_);
+  ASSERT_FALSE(dangling.ok());
+  EXPECT_EQ(dangling.status().ToString(),
+            "NotFound: dangling reference i307");
+}
+
+TEST_F(VmScanKernelTest, ExplicitInstantProjections) {
+  const std::string queries[] = {
+      "select x.name @ 65, x.salary @ 65 from x in employee",
+      "select x from x in employee where x.salary @ 75 > x.salary",
+      "select x.salary @ 0, x.salary from x in employee at 75",
+      "select x.name @ 85 from x in person at 65",
+  };
+  for (const std::string& q : queries) ExpectSame(q);
+}
+
+TEST_F(VmScanKernelTest, ExtentCrossesTheBatchBoundary) {
+  const std::string queries[] = {
+      "select x, x.birthyear, x.name from x in person",
+      // Only row 280 (birthyear 1780) divides by zero: an error past the
+      // first batch, and a mask that keeps the division away from it.
+      "select x from x in person where 100 / (x.birthyear - 1780) > 0",
+      "select x from x in person where x.birthyear <> 1780 and "
+      "100 / (x.birthyear - 1780) > 0",
+      "select x.name from x in person where x.birthyear >= 1750",
+  };
+  for (const std::string& q : queries) ExpectSame(q);
+  // The person extent really spans two batches.
+  Result<std::string> all = RunCompiled("select x from x in person", db_);
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_GT(std::count(all->begin(), all->end(), '\n') + 1,
+            static_cast<std::ptrdiff_t>(kVmBatchSize));
 }
 
 TEST(PlanCacheTest, NormalizePlanKey) {
