@@ -94,7 +94,7 @@ void BM_TriggerOverheadPerUpdate(benchmark::State& state) {
   // N independent triggers all matching updates of salary; their actions
   // touch `office`, which no trigger matches — cascade depth 1.
   for (int64_t i = 0; i < rules; ++i) {
-    (void)active.DefineTrigger(
+    (void)active.Define(
         "trigger t" + std::to_string(i) +
         " on update of employee.salary do update $self set office = 'x'");
   }
@@ -121,7 +121,7 @@ void BM_TriggerCascadeDepth(benchmark::State& state) {
   (void)db.DefineClass(spec);
   Oid obj = db.CreateObject("chain").value();
   for (int64_t i = 0; i < depth; ++i) {
-    (void)active.DefineTrigger(
+    (void)active.Define(
         "trigger s" + std::to_string(i) + " on update of chain.a" +
         std::to_string(i) + " do update $self set a" +
         std::to_string(i + 1) + " = 1");

@@ -562,7 +562,25 @@ int WriteQueryReport(const std::string& path) {
                 " (min history-sweep speedup: %.2fx, "
                 "index speedup at max size: %.2fx)",
                 min_history_speedup, index_speedup_at_max);
-  return WriteReport(path, json, buf);
+  if (WriteReport(path, json, buf) != 0) return 1;
+  // The gates (docs/QUERY_EXEC.md): an index must still beat the scan
+  // by a wide margin, and the VM must still beat the tree-walker on
+  // every history length.
+  constexpr double kMinIndexSpeedup = 5.0;
+  constexpr double kMinHistorySpeedup = 1.5;
+  int exit_code = 0;
+  if (index_speedup_at_max < kMinIndexSpeedup) {
+    std::fprintf(stderr, "index_speedup_at_max %.2f is below the %.1f gate\n",
+                 index_speedup_at_max, kMinIndexSpeedup);
+    exit_code = 1;
+  }
+  if (min_history_speedup < kMinHistorySpeedup) {
+    std::fprintf(stderr,
+                 "history_sweep_min_speedup %.2f is below the %.1f gate\n",
+                 min_history_speedup, kMinHistorySpeedup);
+    exit_code = 1;
+  }
+  return exit_code;
 }
 
 }  // namespace

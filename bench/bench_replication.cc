@@ -38,9 +38,7 @@ std::string BuildJournal(const std::string& name, size_t records) {
   std::string dir = ScratchDir(name);
   std::string path = dir + "/journal.tql";
   Journal journal;
-  JournalOptions options;
-  options.sync = SyncPolicy::kNone;
-  if (!journal.Open(path, options).ok()) return path;
+  if (!journal.Open(path).ok()) return path;
   for (size_t i = 0; i < records; ++i) {
     (void)journal.Append("update i1 set name = 'n" + std::to_string(i) +
                          "'");

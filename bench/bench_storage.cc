@@ -67,43 +67,35 @@ void BM_Deserialize(benchmark::State& state) {
 BENCHMARK(BM_Deserialize)->Arg(20)->Arg(100)->Arg(400);
 
 void BM_JournalAppend(benchmark::State& state) {
-  // The price of durability: Arg selects the sync policy, so the three
-  // rows show what each fdatasync discipline costs per record.
-  JournalOptions options;
-  std::string label;
-  switch (state.range(0)) {
-    case 0:
-      options.sync = SyncPolicy::kNone;
-      label = "sync=none";
-      break;
-    case 1:
-      options.sync = SyncPolicy::kBatched;
-      options.batch_size = 32;
-      label = "sync=batched(32)";
-      break;
-    default:
-      options.sync = SyncPolicy::kEveryAppend;
-      label = "sync=every-append";
-      break;
-  }
+  // The price of durability: Arg is how many records the owner appends
+  // per Sync() (0 = never), so the three rows show what each fdatasync
+  // discipline costs per record.
+  const int64_t sync_every = state.range(0);
   std::string path = (std::filesystem::temp_directory_path() /
                       "tchimera_bench_journal.tql")
                          .string();
   std::remove(path.c_str());
   Journal journal;
-  if (!journal.Open(path, options).ok()) {
+  if (!journal.Open(path).ok()) {
     state.SkipWithError("cannot open journal");
     return;
   }
+  int64_t unsynced = 0;
   for (auto _ : state) {
     Status s = journal.Append("update i1 set salary = 12345");
+    if (s.ok() && sync_every > 0 && ++unsynced == sync_every) {
+      s = journal.Sync();
+      unsynced = 0;
+    }
     if (!s.ok()) state.SkipWithError("append failed");
   }
   journal.Close();
-  state.SetLabel(label);
+  state.SetLabel(sync_every == 0
+                     ? std::string("sync=none")
+                     : "sync=every-" + std::to_string(sync_every));
   std::remove(path.c_str());
 }
-BENCHMARK(BM_JournalAppend)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_JournalAppend)->Arg(0)->Arg(32)->Arg(1);
 
 void BM_JournalReplay(benchmark::State& state) {
   // Recovery time for a journal of `n` statements.
@@ -113,10 +105,8 @@ void BM_JournalReplay(benchmark::State& state) {
                          .string();
   std::remove(path.c_str());
   {
-    JournalOptions options;
-    options.sync = SyncPolicy::kNone;
     Journal out;
-    Status s = out.Open(path, options);
+    Status s = out.Open(path);
     if (s.ok()) {
       s = out.Append(
           "define class worker attributes salary: temporal(integer) end");
@@ -134,8 +124,8 @@ void BM_JournalReplay(benchmark::State& state) {
   }
   for (auto _ : state) {
     Database db;
-    Interpreter interp(&db);
-    auto applied = Journal::Replay(path, &interp);
+    ActiveDatabase active(&db);
+    auto applied = Journal::Replay(path, &active);
     if (!applied.ok()) {
       state.SkipWithError(applied.status().ToString().c_str());
     }

@@ -40,10 +40,10 @@ int main() {
   std::printf("== triggers: reactive rules ==\n");
   // Every new employee gets a starter salary; every promotion to manager
   // initializes dependents.
-  (void)active.DefineTrigger(
+  (void)active.Define(
       "trigger starter on create of employee do "
       "update $self set salary = 30000");
-  (void)active.DefineTrigger(
+  (void)active.Define(
       "trigger promo on migrate of manager do "
       "update $self set dependents = 0");
   std::string ann = Run("create employee (name: 'Ann', office: 'A1')");
@@ -54,7 +54,7 @@ int main() {
   std::printf("(triggers fired so far: %zu)\n\n", active.fired_count());
 
   std::printf("== the termination problem, contained ==\n");
-  (void)active.DefineTrigger(
+  (void)active.Define(
       "trigger loop on update of manager.dependents do "
       "update $self set dependents = 1");
   Run("update " + ann + " set dependents = 5");  // self-refiring rule
@@ -88,7 +88,7 @@ int main() {
   std::printf("\n== constraints + triggers together ==\n");
   // A trigger enforcing a constraint reactively: any salary write is
   // immediately floored (the action itself satisfies positive-pay).
-  (void)active.DefineTrigger(
+  (void)active.Define(
       "trigger floor on create of employee do "
       "update $self set salary = 1");
   std::string intern = Run("create employee (name: 'Iggy')");

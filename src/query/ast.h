@@ -224,11 +224,18 @@ struct Statement {
     kWhen,
     kShow,
     kExplain,
+    // The Section 7 definition forms: the parser finds only their
+    // extent; ActiveDatabase parses `text` (triggers/trigger.h).
+    kTrigger,
+    kConstraint,
   };
   Kind kind = Kind::kCheck;
   // Byte offset of the statement's first token in the parsed input (for
   // script-level diagnostics; offsets are absolute within the script).
   size_t position = 0;
+  // The statement's canonical one-line text (CanonicalText in lexer.h):
+  // its plan-cache key and the text the engine journals.
+  std::string text;
 
   // Exactly the member matching `kind` is populated (kept flat rather than
   // a variant for readable accessors).
@@ -251,6 +258,47 @@ struct Statement {
   // lowered ExecProgram, or the reason it falls back to the tree-walker).
   std::unique_ptr<Statement> explain_inner;
 };
+
+// How the engine routes each statement kind (query/session.cc); this
+// table is the one place that says it.
+struct KindTraits {
+  bool read = false;       // runs on a pinned snapshot, beside writers
+  bool journaled = false;  // handed to the CommitSink when it commits
+  // Takes the exclusive writer outright: schema changes have a
+  // schema-wide footprint (an index build scans every object shard), so
+  // an optimistic attempt is doomed once any other writer commits.
+  bool exclusive = false;
+};
+
+constexpr KindTraits TraitsOf(Statement::Kind kind) {
+  using Kind = Statement::Kind;
+  switch (kind) {
+    case Kind::kSelect:
+    case Kind::kSnapshot:
+    case Kind::kHistory:
+    case Kind::kWhen:
+    case Kind::kShow:
+    case Kind::kExplain:  // lowers its inner statement, never executes it
+      return {.read = true};
+    case Kind::kDefineClass:
+    case Kind::kDropClass:
+    case Kind::kCreateIndex:
+    case Kind::kDropIndex:
+    case Kind::kTrigger:
+    case Kind::kConstraint:
+      return {.journaled = true, .exclusive = true};
+    case Kind::kCreate:
+    case Kind::kUpdate:
+    case Kind::kMigrate:
+    case Kind::kDelete:
+    case Kind::kTick:
+    case Kind::kAdvance:
+      return {.journaled = true};
+    case Kind::kCheck:  // ActiveDatabase adds the constraints; changes nothing
+      return {};
+  }
+  return {};
+}
 
 }  // namespace tchimera
 

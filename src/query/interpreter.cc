@@ -286,6 +286,9 @@ Result<std::string> Interpreter::ExecuteStatement(Statement* stmt) {
       }
       return Status::Internal("unhandled SHOW");
     }
+    case Statement::Kind::kTrigger:
+    case Statement::Kind::kConstraint:
+      return Status::InvalidArgument("definitions need an ActiveDatabase");
   }
   return Status::Internal("unhandled statement kind");
 }

@@ -20,9 +20,9 @@ class Lexer {
  public:
   explicit Lexer(std::string_view input) : input_(input) {}
 
-  Result<std::vector<Token>> Run() {
+  Result<std::vector<Token>> Run(size_t max_tokens) {
     std::vector<Token> out;
-    while (true) {
+    while (out.size() < max_tokens) {
       SkipSpaceAndComments();
       Token tok;
       tok.position = pos_;
@@ -36,6 +36,7 @@ class Lexer {
       tok.end = pos_;
       out.push_back(std::move(tok));
     }
+    return out;
   }
 
  private:
@@ -189,6 +190,15 @@ class Lexer {
       return Status::OK();
     }
     if (std::isdigit(static_cast<unsigned char>(c))) return LexNumber(tok);
+    // A `$name` placeholder (a trigger action's `$self`).
+    if (c == '$' && pos_ + 1 < input_.size() &&
+        IsIdentStart(input_[pos_ + 1])) {
+      size_t start = ++pos_;
+      while (pos_ < input_.size() && IsIdentChar(input_[pos_])) ++pos_;
+      tok->kind = TokenKind::kPlaceholder;
+      tok->text = std::string(input_.substr(start, pos_ - start));
+      return Status::OK();
+    }
     // Punctuation.
     ++pos_;
     switch (c) {
@@ -271,8 +281,34 @@ class Lexer {
 
 }  // namespace
 
-Result<std::vector<Token>> Tokenize(std::string_view input) {
-  return Lexer(input).Run();
+Result<std::vector<Token>> Tokenize(std::string_view input,
+                                   size_t max_tokens) {
+  return Lexer(input).Run(max_tokens);
+}
+
+std::string CanonicalText(std::string_view input,
+                          std::span<const Token> tokens) {
+  std::string out;
+  out.reserve(input.size());
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    const Token& tok = tokens[i];
+    if (tok.kind == TokenKind::kEnd) break;
+    if (i > 0 && tok.position > tokens[i - 1].end) out.push_back(' ');
+    std::string_view slice =
+        input.substr(tok.position, tok.end - tok.position);
+    if (tok.kind != TokenKind::kString && tok.kind != TokenKind::kCharLit) {
+      out.append(slice);
+      continue;
+    }
+    for (char c : slice) {
+      if (c == '\n') {
+        out.append("\\n");
+      } else {
+        out.push_back(c);
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace tchimera

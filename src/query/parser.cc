@@ -1,5 +1,8 @@
 #include "query/parser.h"
 
+#include <cctype>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "core/types/type_parser.h"
@@ -9,9 +12,57 @@
 namespace tchimera {
 namespace {
 
+// The kind of statement that `tokens` (its leading tokens) starts, read
+// from at most the first three; nullopt when they start none.
+std::optional<Statement::Kind> LeadingStatementKind(
+    std::span<const Token> tokens) {
+  using Kind = Statement::Kind;
+  auto is_name = [&tokens](size_t i, std::string_view text = {}) {
+    return i < tokens.size() && tokens[i].kind == TokenKind::kIdentifier &&
+           (text.empty() || tokens[i].text == text);
+  };
+  if (is_name(0)) {  // the definition words, case-insensitive like keywords
+    std::string head = tokens[0].text;
+    for (char& c : head) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    if (head == "trigger") return Kind::kTrigger;
+    if (head == "constraint") return Kind::kConstraint;
+    return std::nullopt;
+  }
+  if (tokens.empty() || tokens[0].kind != TokenKind::kKeyword) {
+    return std::nullopt;
+  }
+  const std::string& head = tokens[0].text;
+  // `index` is an ordinary identifier, so `create index` is index DDL
+  // only when another name follows (object creation never puts a name
+  // after the class name); `drop index` always is.
+  if (head == "create") {
+    return is_name(1, "index") && is_name(2) ? Kind::kCreateIndex
+                                             : Kind::kCreate;
+  }
+  if (head == "drop") {
+    return is_name(1, "index") ? Kind::kDropIndex : Kind::kDropClass;
+  }
+  static constexpr std::pair<std::string_view, Kind> kHeads[] = {
+      {"explain", Kind::kExplain},   {"define", Kind::kDefineClass},
+      {"update", Kind::kUpdate},     {"migrate", Kind::kMigrate},
+      {"delete", Kind::kDelete},     {"select", Kind::kSelect},
+      {"snapshot", Kind::kSnapshot}, {"history", Kind::kHistory},
+      {"tick", Kind::kTick},         {"advance", Kind::kAdvance},
+      {"check", Kind::kCheck},       {"when", Kind::kWhen},
+      {"show", Kind::kShow},
+  };
+  for (const auto& [word, kind] : kHeads) {
+    if (head == word) return kind;
+  }
+  return std::nullopt;
+}
+
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  Parser(std::string_view input, std::vector<Token> tokens)
+      : input_(input), tokens_(std::move(tokens)) {}
 
   Result<Statement> ParseOneStatement() {
     size_t start = Peek().position;
@@ -22,15 +73,19 @@ class Parser {
       return ErrorHere("unexpected input after statement: " +
                        Peek().Describe());
     }
+    stmt.text = CanonicalText(input_, tokens_);
     return stmt;
   }
 
   Result<std::vector<Statement>> ParseAll() {
     std::vector<Statement> out;
     while (!AtEnd()) {
+      const size_t first = pos_;
       size_t start = Peek().position;
       TCH_ASSIGN_OR_RETURN(Statement stmt, ParseStmt());
       stmt.position = start;
+      stmt.text = CanonicalText(
+          input_, std::span<const Token>(tokens_).subspan(first, pos_ - first));
       out.push_back(std::move(stmt));
       while (Accept(TokenKind::kSemicolon)) {
       }
@@ -223,50 +278,92 @@ class Parser {
   }
 
   Result<Statement> ParseStmt() {
-    if (AcceptKeyword("explain")) {
-      if (AtEnd() || Peek().kind == TokenKind::kSemicolon) {
-        return ErrorHere("explain requires a statement to explain");
-      }
-      TCH_ASSIGN_OR_RETURN(Statement inner, ParseStmt());
-      if (inner.kind == Statement::Kind::kExplain) {
-        return ErrorHere("explain cannot be nested");
-      }
-      Statement stmt;
-      stmt.kind = Statement::Kind::kExplain;
-      stmt.explain_inner = std::make_unique<Statement>(std::move(inner));
-      return stmt;
+    using Kind = Statement::Kind;
+    std::optional<Kind> kind =
+        LeadingStatementKind(std::span<const Token>(tokens_).subspan(pos_));
+    if (!kind.has_value()) {
+      return ErrorHere("expected a statement, found " + Peek().Describe());
     }
-    if (AcceptKeyword("define")) return ParseDefineClass();
-    if (AcceptKeyword("drop")) return ParseDropClass();
-    if (AcceptKeyword("create")) return ParseCreate();
-    if (AcceptKeyword("update")) return ParseUpdate();
-    if (AcceptKeyword("migrate")) return ParseMigrate();
-    if (AcceptKeyword("delete")) return ParseDelete();
-    if (AcceptKeyword("select")) return ParseSelect();
-    if (AcceptKeyword("snapshot")) return ParseSnapshot();
-    if (AcceptKeyword("history")) return ParseHistory();
-    if (AcceptKeyword("tick")) return ParseTick();
-    if (AcceptKeyword("advance")) return ParseAdvance();
-    if (AcceptKeyword("check")) {
-      Statement s;
-      s.kind = Statement::Kind::kCheck;
-      return s;
-    }
-    if (AcceptKeyword("when")) {
-      Statement s;
-      s.kind = Statement::Kind::kWhen;
-      s.when.emplace();
-      TCH_ASSIGN_OR_RETURN(s.when->condition, ParseExpr());
-      if (AcceptKeyword("during")) {
-        TCH_ASSIGN_OR_RETURN(ParsedInterval iv, ParseInterval());
-        s.when->during = iv.value;
-        s.when->during_start_span = iv.start_span;
-        s.when->during_end_span = iv.end_span;
+    Advance();  // the leading word
+    switch (*kind) {
+      case Kind::kExplain: {
+        if (AtEnd() || Peek().kind == TokenKind::kSemicolon) {
+          return ErrorHere("explain requires a statement to explain");
+        }
+        TCH_ASSIGN_OR_RETURN(Statement inner, ParseStmt());
+        if (inner.kind == Kind::kExplain) {
+          return ErrorHere("explain cannot be nested");
+        }
+        Statement stmt;
+        stmt.kind = Kind::kExplain;
+        stmt.explain_inner = std::make_unique<Statement>(std::move(inner));
+        return stmt;
       }
-      return s;
+      case Kind::kDefineClass:
+        return ParseDefineClass();
+      case Kind::kDropClass:
+        return ParseDropClass();
+      case Kind::kCreateIndex:
+        Advance();  // `index`
+        return ParseCreateIndex();
+      case Kind::kDropIndex: {
+        Advance();  // `index`
+        Statement s;
+        s.kind = Kind::kDropIndex;
+        s.drop_index.emplace();
+        TCH_ASSIGN_OR_RETURN(s.drop_index->name, ParseName());
+        return s;
+      }
+      case Kind::kCreate:
+        return ParseCreate();
+      case Kind::kUpdate:
+        return ParseUpdate();
+      case Kind::kMigrate:
+        return ParseMigrate();
+      case Kind::kDelete:
+        return ParseDelete();
+      case Kind::kSelect:
+        return ParseSelect();
+      case Kind::kSnapshot:
+        return ParseSnapshot();
+      case Kind::kHistory:
+        return ParseHistory();
+      case Kind::kTick:
+        return ParseTick();
+      case Kind::kAdvance:
+        return ParseAdvance();
+      case Kind::kWhen:
+        return ParseWhen();
+      case Kind::kShow:
+        return ParseShow();
+      case Kind::kCheck:
+      case Kind::kTrigger:
+      case Kind::kConstraint: {
+        // A definition runs to the statement's end; its grammar belongs
+        // to ActiveDatabase, which parses the statement's text.
+        if (*kind != Kind::kCheck) {
+          while (!AtEnd() && Peek().kind != TokenKind::kSemicolon) Advance();
+        }
+        Statement s;
+        s.kind = *kind;
+        return s;
+      }
     }
-    if (AcceptKeyword("show")) return ParseShow();
-    return ErrorHere("expected a statement, found " + Peek().Describe());
+    return ErrorHere("unhandled statement kind");
+  }
+
+  Result<Statement> ParseWhen() {
+    Statement s;
+    s.kind = Statement::Kind::kWhen;
+    s.when.emplace();
+    TCH_ASSIGN_OR_RETURN(s.when->condition, ParseExpr());
+    if (AcceptKeyword("during")) {
+      TCH_ASSIGN_OR_RETURN(ParsedInterval iv, ParseInterval());
+      s.when->during = iv.value;
+      s.when->during_start_span = iv.start_span;
+      s.when->during_end_span = iv.end_span;
+    }
+    return s;
   }
 
   Result<Statement> ParseDefineClass() {
@@ -323,16 +420,6 @@ class Parser {
   }
 
   Result<Statement> ParseDropClass() {
-    // "index" is an ordinary identifier (not a keyword), so peek before
-    // committing to `drop class`.
-    if (Peek().kind == TokenKind::kIdentifier && Peek().text == "index") {
-      Advance();
-      Statement s;
-      s.kind = Statement::Kind::kDropIndex;
-      s.drop_index.emplace();
-      TCH_ASSIGN_OR_RETURN(s.drop_index->name, ParseName());
-      return s;
-    }
     TCH_RETURN_IF_ERROR(ExpectKeyword("class"));
     Statement s;
     s.kind = Statement::Kind::kDropClass;
@@ -365,14 +452,6 @@ class Parser {
   }
 
   Result<Statement> ParseCreate() {
-    // `create index i on c ...` vs `create index` (an object of a class
-    // named "index"): index DDL always continues with another name, and
-    // object creation never puts an identifier after the class name.
-    if (Peek().kind == TokenKind::kIdentifier && Peek().text == "index" &&
-        tokens_[pos_ + 1].kind == TokenKind::kIdentifier) {
-      Advance();
-      return ParseCreateIndex();
-    }
     Statement s;
     s.kind = Statement::Kind::kCreate;
     s.create.emplace();
@@ -860,6 +939,7 @@ class Parser {
     }
   }
 
+  std::string_view input_;
   std::vector<Token> tokens_;
   size_t pos_ = 0;
 };
@@ -868,17 +948,28 @@ class Parser {
 
 Result<Statement> ParseStatement(std::string_view input) {
   TCH_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(input));
-  return Parser(std::move(tokens)).ParseOneStatement();
+  return Parser(input, std::move(tokens)).ParseOneStatement();
 }
 
 Result<std::vector<Statement>> ParseScript(std::string_view input) {
   TCH_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(input));
-  return Parser(std::move(tokens)).ParseAll();
+  return Parser(input, std::move(tokens)).ParseAll();
 }
 
 Result<ExprPtr> ParseExpression(std::string_view input) {
   TCH_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(input));
-  return Parser(std::move(tokens)).ParseOneExpression();
+  return Parser(input, std::move(tokens)).ParseOneExpression();
+}
+
+Result<Statement::Kind> PeekStatementKind(std::string_view statement) {
+  TCH_ASSIGN_OR_RETURN(std::vector<Token> tokens,
+                       Tokenize(statement, /*max_tokens=*/3));
+  std::optional<Statement::Kind> kind = LeadingStatementKind(tokens);
+  if (!kind.has_value()) {
+    return Status::InvalidArgument("expected a statement, found " +
+                                   tokens.front().Describe());
+  }
+  return *kind;
 }
 
 }  // namespace tchimera

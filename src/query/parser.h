@@ -21,6 +21,14 @@
 //                                      closed boolean condition hold?)
 //         | CHECK
 //         | SHOW CLASS name | SHOW OBJECT oid | SHOW CLASSES | SHOW NOW
+//         | EXPLAIN stmt
+//         | TRIGGER ... | CONSTRAINT ...   (definitions: the text up to
+//                                      ';' or the end, kept for
+//                                      ActiveDatabase to parse)
+//
+//   Comments (`--` to the end of the line) and newlines may appear
+//   wherever whitespace may. Every parsed statement carries its canonical
+//   one-line text (Statement::text; CanonicalText in lexer.h).
 //
 //   field    := name ':' type          (type in the canonical type syntax)
 //   msig     := name '(' [type (, type)*] ')' ':' type
@@ -59,6 +67,12 @@ Result<std::vector<Statement>> ParseScript(std::string_view input);
 
 // Parses a standalone expression (used by tests and the bench harness).
 Result<ExprPtr> ParseExpression(std::string_view input);
+
+// The kind of statement `statement` is, read from its first three tokens
+// only — the rest is never lexed. The parser dispatches through the same
+// rule, so for any text ParseStatement accepts the two agree. Fails when
+// the leading tokens do not lex or start no statement.
+Result<Statement::Kind> PeekStatementKind(std::string_view statement);
 
 }  // namespace tchimera
 

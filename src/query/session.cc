@@ -1,140 +1,25 @@
 #include "query/session.h"
 
 #include <algorithm>
-#include <cctype>
 #include <utility>
 
 #include "analysis/query_analyzer.h"
 #include "query/interpreter.h"
+#include "query/lexer.h"
 #include "query/parser.h"
 #include "query/vm.h"
-#include "storage/journal.h"
 #include "triggers/trigger.h"
 
 namespace tchimera {
-namespace {
-
-// The read-only TQL verbs. The parser dispatches on the first keyword,
-// so first-token classification agrees exactly with Statement::Kind; and
-// these kinds touch only const Database members, which is what makes the
-// lock-free-for-writers snapshot read path sound. `explain` only lowers
-// its inner statement — it never executes it, so it is a read too.
-bool IsReadStatement(std::string_view statement) {
-  std::string token = FirstTokenLower(statement);
-  for (std::string_view kw : {"select", "snapshot", "history", "when",
-                              "show", "explain"}) {
-    if (token == kw) return true;
-  }
-  return false;
-}
-
-bool IsReadKind(Statement::Kind kind) {
-  switch (kind) {
-    case Statement::Kind::kSelect:
-    case Statement::Kind::kSnapshot:
-    case Statement::Kind::kHistory:
-    case Statement::Kind::kWhen:
-    case Statement::Kind::kShow:
-    case Statement::Kind::kExplain:
-      return true;
-    default:
-      return false;
-  }
-}
-
-// The verbs that must run on the exclusive path: schema changes —
-// class DDL and trigger/constraint definitions alike record a
-// schema-level footprint — conflict with every concurrent commit anyway,
-// so running them optimistically would only burn a doomed copy.
-// `create index` joins them: the initial build scans every object shard,
-// so its footprint is schema-wide and an optimistic attempt is doomed
-// the moment any concurrent writer commits. (`drop index` is covered by
-// the `drop` first token.)
-bool RequiresExclusiveWrite(std::string_view statement) {
-  std::string token = FirstTokenLower(statement);
-  for (std::string_view kw : {"define", "drop", "trigger", "constraint"}) {
-    if (token == kw) return true;
-  }
-  if (token == "create") {
-    std::string_view rest = statement;
-    size_t i = rest.find_first_not_of(" \t\r\n");
-    if (i != std::string_view::npos) rest.remove_prefix(i);
-    // Skip the `create` token, then whitespace, then compare the verb.
-    i = rest.find_first_of(" \t\r\n");
-    if (i == std::string_view::npos) return false;
-    rest.remove_prefix(i);
-    i = rest.find_first_not_of(" \t\r\n");
-    if (i == std::string_view::npos) return false;
-    rest.remove_prefix(i);
-    std::string second;
-    for (char c : rest.substr(0, rest.find_first_of(" \t\r\n("))) {
-      second.push_back(
-          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    }
-    return second == "index";
-  }
-  return false;
-}
-
-}  // namespace
 
 // --- plan cache --------------------------------------------------------------
 
 std::string NormalizePlanKey(std::string_view statement) {
-  std::string out;
-  out.reserve(statement.size());
-  bool in_space = true;  // swallow leading whitespace
-  // Set when the scan ends inside a quoted literal that never closed
-  // (including one whose closing quote was escaped away by a trailing
-  // backslash). Every byte after the opening quote is then literal
-  // content, and the final trailing-space trim must not touch it: with
-  // the trim, `select 'ab` and `select 'ab ` — lexically different
-  // texts — would collapse onto one cache key.
-  bool unterminated_quote = false;
-  for (size_t i = 0; i < statement.size(); ++i) {
-    char c = statement[i];
-    if (c == '\'') {
-      // Quoted literal: copied byte-for-byte (including escapes — the
-      // lexer's escape rules must not interact with normalization).
-      out += c;
-      ++i;
-      bool terminated = false;
-      while (i < statement.size()) {
-        out += statement[i];
-        if (statement[i] == '\\' && i + 1 < statement.size()) {
-          out += statement[++i];
-        } else if (statement[i] == '\'') {
-          terminated = true;
-          break;
-        }
-        ++i;
-      }
-      unterminated_quote = !terminated;
-      in_space = false;
-      continue;
-    }
-    if (c == '-' && i + 1 < statement.size() && statement[i + 1] == '-') {
-      // `--` line comment: skip to end of line.
-      while (i < statement.size() && statement[i] != '\n') ++i;
-      --i;  // the newline (or end) is handled as whitespace next round
-      continue;
-    }
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!in_space) out += ' ';
-      in_space = true;
-      continue;
-    }
-    out += c;
-    in_space = false;
-  }
-  // Trim only separator whitespace. Bytes inside an unterminated literal
-  // are content: trimming them makes lexically different statements
-  // (differing exactly in that trailing literal whitespace, or in a
-  // trailing backslash that escaped a final space) share a key.
-  if (!unterminated_quote) {
-    while (!out.empty() && out.back() == ' ') out.pop_back();
-  }
-  return out;
+  Result<std::vector<Token>> tokens = Tokenize(statement);
+  // A text that does not lex never parses; verbatim, its key cannot
+  // collide with a canonical text (which always lexes).
+  if (!tokens.ok()) return std::string(statement);
+  return CanonicalText(statement, *tokens);
 }
 
 std::shared_ptr<const CachedPlan> PlanCache::Lookup(
@@ -229,18 +114,18 @@ Status Engine::WithExclusive(const std::function<Status(Database&)>& fn) {
   return status;
 }
 
-Result<std::string> Engine::ExecuteWrite(std::string_view statement,
+Result<std::string> Engine::ExecuteWrite(Statement* stmt,
                                          DiagnosticEngine* lint,
                                          const WriteRetryPolicy& policy) {
-  if (RequiresExclusiveWrite(statement)) {
-    return ExecuteWriteExclusive(statement, lint);
+  if (TraitsOf(stmt->kind).exclusive) {
+    return ExecuteWriteExclusive(stmt, lint);
   }
   const int attempts = std::max(policy.max_optimistic_attempts, 1);
   Result<std::string> result = Status::Internal("write never attempted");
   for (int attempt = 0; attempt < attempts; ++attempt) {
-    // Lint only on the first attempt — retries re-execute the same text
+    // Lint only on the first attempt — retries re-execute the same parse
     // and would only duplicate every finding.
-    result = TryOptimisticWrite(statement, attempt == 0 ? lint : nullptr);
+    result = TryOptimisticWrite(stmt, attempt == 0 ? lint : nullptr);
     if (result.ok() || result.status().code() != StatusCode::kConflict) {
       return result;
     }
@@ -256,10 +141,10 @@ Result<std::string> Engine::ExecuteWrite(std::string_view statement,
   // Contention this persistent means the writers genuinely serialize;
   // stop burning copies and take the lock. This also guarantees progress
   // for worst-case workloads (every writer on the same slot).
-  return ExecuteWriteExclusive(statement, nullptr);
+  return ExecuteWriteExclusive(stmt, nullptr);
 }
 
-Result<std::string> Engine::TryOptimisticWrite(std::string_view statement,
+Result<std::string> Engine::TryOptimisticWrite(Statement* stmt,
                                                DiagnosticEngine* lint) {
   OptimisticTransaction txn = vdb_.BeginTransaction();
   // A facade over the private copy: the copy's triggers fire and its
@@ -267,19 +152,19 @@ Result<std::string> Engine::TryOptimisticWrite(std::string_view statement,
   // mutations land in its write footprint like any others.
   ActiveDatabase facade(&txn.db(), max_cascade_depth_);
   facade.set_lint(lint);
-  Result<std::string> result = facade.Execute(statement);
+  Result<std::string> result = facade.Execute(stmt);
   if (!result.ok()) return result;  // rejected before mutating anything
   CommitSink::Ticket ticket;
-  const bool durable = sink_ != nullptr && IsMutatingStatement(statement);
+  const bool durable = sink_ != nullptr && TraitsOf(stmt->kind).journaled;
   Result<uint64_t> committed = vdb_.CommitTransaction(
-      &txn, [this, statement, durable, &ticket]() -> Status {
+      &txn, [this, stmt, durable, &ticket]() -> Status {
         // Runs under the writer mutex, after validation succeeded:
         // enqueue order is commit order. A fail-fast enqueue (closed or
         // poisoned sink) aborts the commit before anything publishes —
         // the optimistic path never applies a statement it cannot
         // journal.
         if (!durable) return Status::OK();
-        ticket = sink_->Enqueue(statement);
+        ticket = sink_->Enqueue(stmt->text);
         if (ticket.seq == 0 && !ticket.status.ok()) return ticket.status;
         return Status::OK();
       });
@@ -290,12 +175,12 @@ Result<std::string> Engine::TryOptimisticWrite(std::string_view statement,
   return result;
 }
 
-Result<std::string> Engine::ExecuteWriteExclusive(std::string_view statement,
+Result<std::string> Engine::ExecuteWriteExclusive(Statement* stmt,
                                                   DiagnosticEngine* lint) {
   WriteGuard guard = vdb_.BeginWrite();
   ActiveDatabase facade(&guard.db(), max_cascade_depth_);
   facade.set_lint(lint);
-  Result<std::string> result = facade.Execute(statement);
+  Result<std::string> result = facade.Execute(stmt);
   if (!result.ok()) return result;  // nothing mutated, nothing to publish
   // Enqueue before releasing the lock: writers are serialized, so the
   // sink receives statements in exactly commit order — replaying the
@@ -303,8 +188,8 @@ Result<std::string> Engine::ExecuteWriteExclusive(std::string_view statement,
   // buffer append; the expensive part (fdatasync) happens in Await,
   // outside the lock, where commits from concurrent sessions batch.
   CommitSink::Ticket ticket;
-  if (sink_ != nullptr && IsMutatingStatement(statement)) {
-    ticket = sink_->Enqueue(statement);
+  if (sink_ != nullptr && TraitsOf(stmt->kind).journaled) {
+    ticket = sink_->Enqueue(stmt->text);
   }
   // Commit publishes the new version AND releases the writer lock (the
   // two are fused — see WriteGuard). Await happens after, outside the
@@ -323,10 +208,11 @@ Result<std::string> Engine::ExecuteWriteExclusive(std::string_view statement,
 }
 
 Result<std::string> Session::Execute(std::string_view statement) {
-  if (!IsReadStatement(statement)) {
-    Result<std::string> result =
-        engine_->ExecuteWrite(statement, lint_enabled_ ? diags_.get() : nullptr,
-                              write_retry_policy_);
+  // The parse alone decides what the statement is (TraitsOf in ast.h).
+  TCH_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(statement));
+  if (!TraitsOf(stmt.kind).read) {
+    Result<std::string> result = engine_->ExecuteWrite(
+        &stmt, lint_enabled_ ? diags_.get() : nullptr, write_retry_policy_);
     if (result.ok()) {
       // Remember the engine tip for read-your-writes routing. The tip is
       // >= our write's version (others may have committed since), which
@@ -337,25 +223,13 @@ Result<std::string> Session::Execute(std::string_view statement) {
   }
   // Read path: pin a snapshot and evaluate on this thread, concurrently
   // with other readers. The const_cast is sound: the interpreter's read
-  // kinds (guarded by IsReadKind below) call only const Database members,
-  // and Database has no mutable caches.
+  // kinds call only const Database members, and Database has no mutable
+  // caches.
   ReadSnapshot snap = engine_->OpenSnapshot();
-  TCH_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(statement));
-  if (!IsReadKind(stmt.kind)) {
-    // Unreachable by construction (the parser keys on the first token);
-    // defend anyway rather than mutate a published immutable version.
-    snap = ReadSnapshot();
-    Result<std::string> result =
-        engine_->ExecuteWrite(statement, lint_enabled_ ? diags_.get() : nullptr,
-                              write_retry_policy_);
-    if (result.ok()) last_write_version_ = engine_->version();
-    return result;
-  }
   if (stmt.kind == Statement::Kind::kSelect ||
       stmt.kind == Statement::Kind::kWhen) {
-    TCH_ASSIGN_OR_RETURN(
-        std::optional<std::string> compiled,
-        TryCompiledRead(&stmt, snap.db(), NormalizePlanKey(statement)));
+    TCH_ASSIGN_OR_RETURN(std::optional<std::string> compiled,
+                         TryCompiledRead(&stmt, snap.db(), stmt.text));
     if (compiled.has_value()) return *std::move(compiled);
     // Negative cache entry: fall through to the tree-walker below.
   }

@@ -2,11 +2,12 @@
 //
 // Layering (top to bottom):
 //
-//   Session   — one per client (thread). Classifies each statement:
-//               read-only TQL (select / snapshot / history / when /
-//               show) runs against a ReadSnapshot, concurrently with
-//               every other reader; everything else is routed to the
-//               Engine's write path. Owns its own DiagnosticEngine, so
+//   Session   — one per client (thread). Parses each statement once and
+//               routes it by its kind (TraitsOf in query/ast.h): reads
+//               (select / snapshot / history / when / show / explain)
+//               run against a ReadSnapshot, concurrently with every other
+//               reader; everything else goes to the Engine's write path
+//               with the parse. Owns its own DiagnosticEngine, so
 //               the "one engine per lint run" contract
 //               (analysis/diagnostic.h) holds without locks.
 //   Engine    — wraps the database in a VersionedDatabase (MVCC: reads
@@ -23,11 +24,12 @@
 //               and publishes. A validation loss (Status::Conflict) is
 //               retried a bounded number of times against a fresh base;
 //               persistent losers fall back to the exclusive WriteGuard
-//               path, which also serves the schema-level verbs (define /
-//               drop / trigger / constraint) outright. Durability is
-//               awaited after the lock is released — the group-commit
-//               window: many sessions can be between enqueue and
-//               durable at once, and one fdatasync acknowledges them all.
+//               path, which also serves the exclusive kinds (class and
+//               index DDL, trigger / constraint definitions) outright.
+//               Durability is awaited after the lock is released — the
+//               group-commit window: many sessions can be between
+//               enqueue and durable at once, and one fdatasync
+//               acknowledges them all.
 //   CommitSink — the durability boundary. storage/group_commit.h is the
 //               real implementation (cross-session group commit); a null
 //               sink (in-memory engines) acknowledges immediately.
@@ -68,10 +70,11 @@ struct CachedPlan {
   std::string fallback_reason;  // set iff !plan
 };
 
-// Canonical cache key for a statement: `--` comments stripped, quoted
-// literals preserved byte-for-byte, whitespace runs collapsed to one
-// space, trimmed. Deliberately NOT case-folded — identifiers are
-// case-sensitive.
+// Canonical cache key for a statement: its canonical text
+// (CanonicalText in query/lexer.h, the same as Statement::text) —
+// comments dropped, whitespace between tokens one space, literals kept
+// byte-for-byte. Deliberately NOT case-folded — identifiers are
+// case-sensitive. A text that does not lex is its own key.
 std::string NormalizePlanKey(std::string_view statement);
 
 // The engine-wide compiled-statement cache, keyed on normalized text and
@@ -252,18 +255,19 @@ class Engine {
  private:
   friend class Session;
 
-  // The write path: optimistic with retry per `policy`, then exclusive
-  // fallback or a surfaced kConflict (see WriteRetryPolicy).
-  Result<std::string> ExecuteWrite(std::string_view statement,
-                                   DiagnosticEngine* lint,
+  // The write path for one parsed statement: optimistic with retry per
+  // `policy`, then exclusive fallback or a surfaced kConflict (see
+  // WriteRetryPolicy). Every attempt executes the same parse, and a
+  // journaled kind hands its canonical text to the sink.
+  Result<std::string> ExecuteWrite(Statement* stmt, DiagnosticEngine* lint,
                                    const WriteRetryPolicy& policy);
   // One optimistic attempt: execute on a private transaction copy, then
   // validate+publish. Status::Conflict means "lost the race, retry".
-  Result<std::string> TryOptimisticWrite(std::string_view statement,
+  Result<std::string> TryOptimisticWrite(Statement* stmt,
                                          DiagnosticEngine* lint);
   // The serialized fallback: writer lock held across execute + enqueue +
-  // publish. Also the only path for schema/definition verbs.
-  Result<std::string> ExecuteWriteExclusive(std::string_view statement,
+  // publish. Also the only path for the exclusive kinds.
+  Result<std::string> ExecuteWriteExclusive(Statement* stmt,
                                             DiagnosticEngine* lint);
 
   // Replica leases (weak: a dropped lease is an unregistered replica).

@@ -42,6 +42,8 @@ const char* TokenKindName(TokenKind kind) {
       return "oid";
     case TokenKind::kTimeLit:
       return "time";
+    case TokenKind::kPlaceholder:
+      return "placeholder";
     case TokenKind::kLParen:
       return "'('";
     case TokenKind::kRParen:
@@ -96,6 +98,8 @@ std::string Token::Describe() const {
       return "keyword '" + text + "'";
     case TokenKind::kString:
       return "string '" + text + "'";
+    case TokenKind::kPlaceholder:
+      return "placeholder '$" + text + "'";
     default:
       return TokenKindName(kind);
   }

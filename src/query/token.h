@@ -20,6 +20,7 @@ enum class TokenKind {
   kCharLit,     // c'x'
   kOidLit,      // i7
   kTimeLit,     // t42 / tnow
+  kPlaceholder, // $self (trigger actions; text is the name after '$')
   // punctuation / operators
   kLParen,      // (
   kRParen,      // )

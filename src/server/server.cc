@@ -15,10 +15,10 @@
 #include <unordered_map>
 #include <utility>
 
+#include "query/parser.h"
 #include "query/session.h"
 #include "server/net.h"
 #include "server/wire.h"
-#include "storage/journal.h"
 
 namespace tchimera {
 namespace {
@@ -199,16 +199,21 @@ struct Server::Impl {
       return true;
     }
     // ...and a saturated group-commit pipeline rejects statements that
-    // would join it (reads still flow: they never touch the sink).
-    if (opts.commit_backlog && IsMutatingStatement(statement) &&
+    // would join it (reads still flow: they never touch the sink). A
+    // peek at the leading tokens says which; a head that does not lex
+    // never parses, so it is left to fail on a worker.
+    if (opts.commit_backlog &&
         opts.commit_backlog() > opts.max_commit_backlog) {
-      stats->admission_rejections.fetch_add(1, std::memory_order_relaxed);
-      std::string frame;
-      AppendError(&frame, StatusCode::kUnavailable, true,
-                  "server overloaded: commit backlog full, retry");
-      stats->error_frames.fetch_add(1, std::memory_order_relaxed);
-      if (!QueueOutput(c, frame)) return false;
-      return true;
+      Result<Statement::Kind> kind = PeekStatementKind(statement);
+      if (kind.ok() && TraitsOf(*kind).journaled) {
+        stats->admission_rejections.fetch_add(1, std::memory_order_relaxed);
+        std::string frame;
+        AppendError(&frame, StatusCode::kUnavailable, true,
+                    "server overloaded: commit backlog full, retry");
+        stats->error_frames.fetch_add(1, std::memory_order_relaxed);
+        if (!QueueOutput(c, frame)) return false;
+        return true;
+      }
     }
 
     c->in_flight = true;

@@ -25,7 +25,8 @@
 // queueing without bound:
 //   * task-queue depth > max_pending_requests  → retryable error frame
 //   * group-commit backlog (enqueued - durable) > max_commit_backlog,
-//     for durable statements only               → retryable error frame
+//     for journaled statements only (a peek at the statement's leading
+//     tokens; PeekStatementKind in query/parser.h) → retryable error frame
 // Both are counted in ServerStats::admission_rejections; the client is
 // expected to back off and resend (client.h does).
 //

@@ -15,9 +15,7 @@ Status GroupCommitJournal::Open(const std::string& path,
   if (journal_.is_open()) {
     return Status::FailedPrecondition("group-commit journal is open");
   }
-  JournalOptions opts = journal_options;
-  opts.sync = SyncPolicy::kNone;  // the sink owns every sync point
-  TCH_RETURN_IF_ERROR(journal_.Open(path, opts));
+  TCH_RETURN_IF_ERROR(journal_.Open(path, journal_options));
   options_ = options;
   if (options_.max_batch == 0) options_.max_batch = 1;
   pending_.clear();

@@ -1,11 +1,10 @@
 // Cross-session group commit on top of the v2 journal (journal.h).
 //
-// The per-handle SyncPolicy::kBatched amortizes fdatasync over one
-// caller's appends; a multi-client front end wants more: commits from
-// *concurrent sessions* batched into one fdatasync, with every caller's
-// acknowledgement released only after the batch is durable. That is what
-// GroupCommitJournal provides, as the CommitSink of a query Engine
-// (query/session.h):
+// A journal's owner decides when it syncs (journal.h). A multi-client
+// front end wants commits from *concurrent sessions* batched into one
+// fdatasync, with every caller's acknowledgement released only after the
+// batch is durable. That is what GroupCommitJournal provides, as the
+// CommitSink of a query Engine (query/session.h):
 //
 //   - Enqueue(stmt) is called by the engine while it holds the writer
 //     lock: the statement is buffered and assigned the next sequence
@@ -21,7 +20,7 @@
 //     leader is flushing simply wait — their statements ride the next
 //     batch. Under contention the fdatasync count approaches
 //     (commits / batch size); a lone committer degenerates to one sync
-//     per statement, same as SyncPolicy::kEveryAppend.
+//     per statement.
 //
 // Failure model: if an append or sync fails, the sink is poisoned — the
 // failed batch's waiters and every later Await get the sticky error.
@@ -30,8 +29,8 @@
 // recovery lands on a whole-batch boundary (modulo torn-tail salvage of
 // never-acknowledged records).
 //
-// On-disk format is untouched: this is journal v2, opened with
-// SyncPolicy::kNone so that the sink owns every sync point.
+// On-disk format is untouched: this is journal v2, and the sink owns
+// every sync point.
 #ifndef TCHIMERA_STORAGE_GROUP_COMMIT_H_
 #define TCHIMERA_STORAGE_GROUP_COMMIT_H_
 
@@ -70,9 +69,7 @@ class GroupCommitJournal final : public CommitSink, public HorizonProvider {
   GroupCommitJournal(const GroupCommitJournal&) = delete;
   GroupCommitJournal& operator=(const GroupCommitJournal&) = delete;
 
-  // Opens the underlying journal (same semantics as Journal::Open;
-  // `journal_options.sync` is overridden to kNone — the sink owns sync
-  // points).
+  // Opens the underlying journal (same semantics as Journal::Open).
   Status Open(const std::string& path,
               const JournalOptions& journal_options = {},
               const GroupCommitOptions& options = {});

@@ -1,6 +1,5 @@
 #include "storage/journal.h"
 
-#include <cctype>
 #include <limits>
 
 #include "common/crc32.h"
@@ -147,32 +146,6 @@ RecordRun DecodeRecords(std::string_view content, size_t offset,
 
 }  // namespace
 
-std::string FirstTokenLower(std::string_view statement) {
-  std::string_view s = StripWhitespace(statement);
-  size_t end = 0;
-  while (end < s.size() &&
-         std::isspace(static_cast<unsigned char>(s[end])) == 0) {
-    ++end;
-  }
-  std::string token;
-  token.reserve(end);
-  for (char c : s.substr(0, end)) {
-    token.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  return token;
-}
-
-bool IsMutatingStatement(std::string_view statement) {
-  std::string token = FirstTokenLower(statement);
-  for (std::string_view kw :
-       {"define", "drop", "create", "update", "migrate", "delete", "tick",
-        "advance", "trigger", "constraint"}) {
-    if (token == kw) return true;
-  }
-  return false;
-}
-
 Result<JournalScan> ScanJournal(const std::string& path, FileSystem* fs) {
   if (fs == nullptr) fs = FileSystem::Default();
   TCH_ASSIGN_OR_RETURN(std::string content, fs->ReadFileToString(path));
@@ -299,7 +272,6 @@ Status Journal::Open(const std::string& path, const JournalOptions& options) {
   epoch_ = options.epoch;
   next_seq_ = 1;
   appended_ = 0;
-  unsynced_ = 0;
 
   bool needs_header = true;
   if (fs()->FileExists(path)) {
@@ -340,16 +312,6 @@ Status Journal::Append(std::string_view statement) {
   TCH_RETURN_IF_ERROR(file_->Append(line));
   ++next_seq_;
   ++appended_;
-  ++unsynced_;
-  switch (options_.sync) {
-    case SyncPolicy::kEveryAppend:
-      return Sync();
-    case SyncPolicy::kBatched:
-      if (unsynced_ >= options_.batch_size) return Sync();
-      return Status::OK();
-    case SyncPolicy::kNone:
-      return Status::OK();
-  }
   return Status::OK();
 }
 
@@ -358,7 +320,6 @@ Status Journal::Sync() {
     return Status::FailedPrecondition("journal is not open");
   }
   TCH_RETURN_IF_ERROR(file_->Sync());
-  unsynced_ = 0;
   ++sync_count_;
   return Status::OK();
 }
@@ -371,8 +332,7 @@ Result<std::string> Journal::Rotate() {
   if (file_ == nullptr) {
     return Status::FailedPrecondition("journal is not open");
   }
-  // The rotated file must carry everything appended so far, whatever the
-  // sync policy.
+  // The rotated file must carry everything appended so far.
   TCH_RETURN_IF_ERROR(file_->Sync());
   TCH_RETURN_IF_ERROR(file_->Close());
   file_.reset();
@@ -380,7 +340,6 @@ Result<std::string> Journal::Rotate() {
   TCH_RETURN_IF_ERROR(fs()->RenameFile(path_, rotated));
   ++epoch_;
   next_seq_ = 1;
-  unsynced_ = 0;
   TCH_ASSIGN_OR_RETURN(file_, fs()->OpenWritable(path_, /*truncate=*/false));
   TCH_RETURN_IF_ERROR(WriteHeader());
   return rotated;
@@ -394,18 +353,19 @@ void Journal::Close() {
   }
 }
 
-Result<size_t> Journal::Replay(const std::string& path, Interpreter* interp) {
-  return ReplayPrefix(path, interp, std::numeric_limits<size_t>::max());
+Result<size_t> Journal::Replay(const std::string& path,
+                               ActiveDatabase* active) {
+  return ReplayPrefix(path, active, std::numeric_limits<size_t>::max());
 }
 
 Result<size_t> Journal::ReplayPrefix(const std::string& path,
-                                     Interpreter* interp,
+                                     ActiveDatabase* active,
                                      size_t max_statements) {
   TCH_ASSIGN_OR_RETURN(JournalScan scan, ScanJournal(path));
   size_t applied = 0;
   for (const std::string& statement : scan.statements) {
     if (applied >= max_statements) break;
-    Result<std::string> r = interp->Execute(statement);
+    Result<std::string> r = active->Execute(statement);
     if (!r.ok()) {
       return Status::Corruption(
           "journal " + path + " statement " + std::to_string(applied + 1) +
@@ -420,26 +380,6 @@ Result<size_t> Journal::ReplayPrefix(const std::string& path,
                               scan.tail_error.message());
   }
   return applied;
-}
-
-JournaledDatabase::JournaledDatabase(const std::string& journal_path,
-                                     const JournalOptions& options)
-    : interp_(&db_) {
-  status_ = journal_.Open(journal_path, options);
-}
-
-Result<std::string> JournaledDatabase::Execute(std::string_view statement) {
-  TCH_RETURN_IF_ERROR(status_);
-  if (!IsMutatingStatement(statement)) return interp_.Execute(statement);
-  // Execute first, journal on success: the journal then contains exactly
-  // the statements that applied cleanly, so strict replay can treat any
-  // replay failure as corruption. Durability is not weakened — callers
-  // are acknowledged only after Append (and its sync policy) returns, so
-  // an acknowledged statement is always on disk; a crash between
-  // execution and append loses only a statement nobody was told about.
-  TCH_ASSIGN_OR_RETURN(std::string result, interp_.Execute(statement));
-  TCH_RETURN_IF_ERROR(journal_.Append(statement));
-  return result;
 }
 
 }  // namespace tchimera

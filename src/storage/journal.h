@@ -1,8 +1,9 @@
 // A durable journal of TQL statements. Every successfully executed
-// mutating statement is appended (and synced per policy) before the
-// caller is acknowledged; recovery is deterministic replay through the
-// interpreter — oids are assigned sequentially, so a replayed journal
-// reproduces the exact database state.
+// journaled statement (TraitsOf in query/ast.h) is appended, in its
+// canonical one-line text, and synced before the caller is acknowledged;
+// recovery is deterministic replay through an ActiveDatabase — oids are
+// assigned sequentially and triggers fire as they did live, so a
+// replayed journal reproduces the exact database state.
 //
 // On-disk format (v2, the only one read or written): a header line
 // followed by framed, checksummed records —
@@ -24,10 +25,11 @@
 // recovery replays only journals with epoch >= E (see recovery.h for the
 // full checkpoint protocol).
 //
-// Durability is governed by SyncPolicy: kEveryAppend issues a real
-// fdatasync per record (Append returning OK means the record survives a
-// crash), kBatched amortizes the sync over n records, kNone leaves
-// flushing to the OS.
+// The journal's owner syncs: Append only writes, and a record survives a
+// crash once the owner's next Sync() returns. GroupCommitJournal syncs
+// once per batch of statements from many sessions; a Replica syncs once
+// per applied batch. The header is synced when a journal is created, and
+// Rotate and Close sync everything appended.
 #ifndef TCHIMERA_STORAGE_JOURNAL_H_
 #define TCHIMERA_STORAGE_JOURNAL_H_
 
@@ -39,30 +41,11 @@
 
 #include "common/fault_fs.h"
 #include "common/result.h"
-#include "query/interpreter.h"
+#include "triggers/trigger.h"
 
 namespace tchimera {
 
-// True when the statement's first whitespace-delimited token is exactly
-// one of the mutating verbs (define, drop, create, update, migrate,
-// delete, tick, advance, and the trigger / constraint definition forms)
-// — the one list of statements a write-ahead journal must capture.
-// Matching is token-exact: `deletion_report ...` or `ticket ...` are not
-// mutations.
-bool IsMutatingStatement(std::string_view statement);
-
-// The first whitespace-delimited token of `statement`, lowercased.
-std::string FirstTokenLower(std::string_view statement);
-
-enum class SyncPolicy {
-  kEveryAppend,  // fdatasync per record: Append OK == durable
-  kBatched,      // fdatasync every batch_size records
-  kNone,         // never sync; the OS decides
-};
-
 struct JournalOptions {
-  SyncPolicy sync = SyncPolicy::kEveryAppend;
-  size_t batch_size = 32;     // for kBatched
   uint64_t epoch = 0;         // epoch stamped on a newly created journal
   FileSystem* fs = nullptr;   // nullptr = FileSystem::Default()
 };
@@ -191,14 +174,12 @@ class Journal {
   const std::string& path() const { return path_; }
   uint64_t epoch() const { return epoch_; }
 
-  // Appends one statement (write-ahead: call before applying the
-  // statement to the database) and syncs per the configured SyncPolicy.
-  // Statements cannot contain raw newlines (string literals escape them),
-  // so the framing is unambiguous.
+  // Appends one statement; never syncs (see Sync). Statements cannot
+  // contain raw newlines — canonical text writes a literal's newline as
+  // `\n` — so the framing is unambiguous; a raw newline is rejected.
   Status Append(std::string_view statement);
 
-  // Forces an fdatasync of everything appended so far (used by kBatched /
-  // kNone callers at commit points).
+  // An fdatasync of everything appended so far: the owner's commit point.
   Status Sync();
 
   // Number of statements appended through this handle.
@@ -208,9 +189,9 @@ class Journal {
   // epoch is still empty). Replication sources use it to bound shipping.
   uint64_t last_seq() const { return next_seq_ - 1; }
 
-  // Number of fdatasyncs issued through Sync() on this handle (including
-  // the per-record syncs of kEveryAppend) — the denominator group commit
-  // optimizes; benchmarks report it as a counter.
+  // Number of fdatasyncs issued through Sync() on this handle — the
+  // denominator group commit optimizes; benchmarks report it as a
+  // counter.
   size_t sync_count() const { return sync_count_; }
 
   // Renames the live journal aside to RotatedPath(path, epoch) and starts
@@ -225,12 +206,14 @@ class Journal {
 
   void Close();
 
-  // Replays a journal file into `interp`, statement by statement. Returns
+  // Replays a journal file through `active`, statement by statement, so
+  // trigger and constraint definitions replay and triggers fire. Returns
   // the number of statements applied. Fails fast (Corruption) on the
-  // first statement the interpreter rejects, and on a torn tail —
-  // strict semantics for callers that need an exact transaction count;
-  // recovery goes through RecoveryManager, which salvages instead.
-  static Result<size_t> Replay(const std::string& path, Interpreter* interp);
+  // first statement the database rejects, and on a torn tail — strict
+  // semantics for callers that need an exact transaction count; recovery
+  // goes through RecoveryManager, which salvages instead.
+  static Result<size_t> Replay(const std::string& path,
+                               ActiveDatabase* active);
 
   // Replays at most the first `max_statements` statements. Since the
   // journal totally orders all transactions, a prefix replay reconstructs
@@ -238,7 +221,7 @@ class Journal {
   // primitive on top of the valid-time model (the "different notions of
   // time" extension the paper's Section 1.1 anticipates).
   static Result<size_t> ReplayPrefix(const std::string& path,
-                                     Interpreter* interp,
+                                     ActiveDatabase* active,
                                      size_t max_statements);
 
  private:
@@ -251,35 +234,7 @@ class Journal {
   uint64_t epoch_ = 0;
   uint64_t next_seq_ = 1;
   size_t appended_ = 0;
-  size_t unsynced_ = 0;
   size_t sync_count_ = 0;
-};
-
-// A convenience facade bundling a database, an interpreter and a journal:
-// Execute() applies a mutating statement and journals it on success, so
-// the log contains exactly the statements that applied cleanly (replay
-// failures are then always corruption). Callers are acknowledged only
-// after the append returns, so an acknowledged statement is durable per
-// the journal's sync policy. The bare interpreter rejects the trigger /
-// constraint definition forms, so those never reach this journal.
-class JournaledDatabase {
- public:
-  explicit JournaledDatabase(const std::string& journal_path,
-                             const JournalOptions& options = {});
-
-  Status status() const { return status_; }
-  Database& db() { return db_; }
-  const Database& db() const { return db_; }
-  Journal& journal() { return journal_; }
-
-  // Journals (if mutating) then executes.
-  Result<std::string> Execute(std::string_view statement);
-
- private:
-  Database db_;
-  Interpreter interp_;
-  Journal journal_;
-  Status status_;
 };
 
 }  // namespace tchimera

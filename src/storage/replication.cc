@@ -367,7 +367,6 @@ Status Replica::RecoverLocal() {
       RecoveryManager::Audit(&engine_->writer_db(), options_.audit, &stats));
 
   JournalOptions jopts;
-  jopts.sync = SyncPolicy::kNone;  // Apply() syncs once per batch
   jopts.epoch = stats.next_epoch;
   jopts.fs = options_.fs;
   TCH_RETURN_IF_ERROR(journal_.Open(journal_path(), jopts));
@@ -493,7 +492,6 @@ Status Replica::InstallCheckpoint(
   engine_ =
       std::make_unique<Engine>(std::move(db), options_.max_cascade_depth);
   JournalOptions jopts;
-  jopts.sync = SyncPolicy::kNone;
   jopts.epoch = image.epoch;
   jopts.fs = options_.fs;
   TCH_RETURN_IF_ERROR(journal_.Open(journal_path(), jopts));

@@ -8,21 +8,6 @@
 #include "query/parser.h"
 
 namespace tchimera {
-namespace {
-
-// The first word of `statement`, lowercased (the definition forms and
-// `check` are recognized by it).
-std::string HeadWord(std::string_view statement) {
-  std::string head;
-  for (char c : statement) {
-    if (std::isspace(static_cast<unsigned char>(c))) break;
-    head.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  return head;
-}
-
-}  // namespace
 
 const char* TriggerEventName(TriggerEvent event) {
   switch (event) {
@@ -133,27 +118,6 @@ DefinitionSet ActiveDatabase::CurrentDefinitions() const {
   return defs == nullptr ? DefinitionSet{} : *defs;
 }
 
-Status ActiveDatabase::DefineTrigger(std::string_view text) {
-  TCH_ASSIGN_OR_RETURN(Trigger t, Trigger::Parse(text));
-  DefinitionSet next = CurrentDefinitions();
-  for (const Trigger& existing : next.triggers) {
-    if (existing.name == t.name) {
-      return Status::AlreadyExists("trigger '" + t.name +
-                                   "' already defined");
-    }
-  }
-  // The action must at least parse now, not at firing time.
-  std::string probe = t.action;
-  size_t pos;
-  while ((pos = probe.find("$self")) != std::string::npos) {
-    probe.replace(pos, 5, "i1");
-  }
-  TCH_RETURN_IF_ERROR(ParseStatement(probe).status());
-  next.triggers.push_back(std::move(t));
-  db_->SetDefinitions(std::make_shared<const DefinitionSet>(std::move(next)));
-  return Status::OK();
-}
-
 Status ActiveDatabase::DropTrigger(std::string_view name) {
   DefinitionSet next = CurrentDefinitions();
   for (auto it = next.triggers.begin(); it != next.triggers.end(); ++it) {
@@ -192,36 +156,65 @@ bool ActiveDatabase::Matches(const Trigger& trigger,
 }
 
 Result<std::string> ActiveDatabase::Define(std::string_view statement) {
-  std::string_view trimmed = StripWhitespace(statement);
-  const std::string head = HeadWord(trimmed);
-  if (head == "trigger") {
-    TCH_RETURN_IF_ERROR(DefineTrigger(trimmed));
-    return "trigger " + db_->definitions()->triggers.back().name +
-           " defined";
+  TCH_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(statement));
+  if (stmt.kind != Statement::Kind::kTrigger &&
+      stmt.kind != Statement::Kind::kConstraint) {
+    return Status::InvalidArgument(
+        "expected a 'trigger' or 'constraint' definition");
   }
-  if (head == "constraint") {
-    DefinitionSet next = CurrentDefinitions();
-    TCH_RETURN_IF_ERROR(next.constraints.Define(trimmed));
-    std::string out = "constraint " + next.constraints.Names().back() +
-                      " defined";
-    db_->SetDefinitions(
-        std::make_shared<const DefinitionSet>(std::move(next)));
-    return out;
+  return Define(stmt);
+}
+
+Result<std::string> ActiveDatabase::Define(const Statement& stmt) {
+  DefinitionSet next = CurrentDefinitions();
+  std::string out;
+  if (stmt.kind == Statement::Kind::kTrigger) {
+    TCH_ASSIGN_OR_RETURN(Trigger t, Trigger::Parse(stmt.text));
+    for (const Trigger& existing : next.triggers) {
+      if (existing.name == t.name) {
+        return Status::AlreadyExists("trigger '" + t.name +
+                                     "' already defined");
+      }
+    }
+    // The action must at least parse now, not at firing time, and be
+    // plain TQL: an action can never change the definitions.
+    std::string probe = t.action;
+    size_t pos;
+    while ((pos = probe.find("$self")) != std::string::npos) {
+      probe.replace(pos, 5, "i1");
+    }
+    TCH_ASSIGN_OR_RETURN(Statement action, ParseStatement(probe));
+    if (action.kind == Statement::Kind::kTrigger ||
+        action.kind == Statement::Kind::kConstraint) {
+      return Status::InvalidArgument("trigger '" + t.name +
+                                     "' action cannot be a definition");
+    }
+    out = "trigger " + t.name + " defined";
+    next.triggers.push_back(std::move(t));
+  } else {
+    TCH_RETURN_IF_ERROR(next.constraints.Define(stmt.text));
+    out = "constraint " + next.constraints.Names().back() + " defined";
   }
-  return Status::InvalidArgument(
-      "expected a 'trigger' or 'constraint' definition");
+  db_->SetDefinitions(std::make_shared<const DefinitionSet>(std::move(next)));
+  return out;
 }
 
 Result<std::string> ActiveDatabase::Execute(std::string_view statement) {
-  std::string_view trimmed = StripWhitespace(statement);
-  const std::string head = HeadWord(trimmed);
-  if (head == "trigger" || head == "constraint") return Define(trimmed);
+  TCH_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(statement));
+  return Execute(&stmt);
+}
+
+Result<std::string> ActiveDatabase::Execute(Statement* stmt) {
+  if (stmt->kind == Statement::Kind::kTrigger ||
+      stmt->kind == Statement::Kind::kConstraint) {
+    return Define(*stmt);
+  }
   std::vector<std::string> chain;
-  TCH_ASSIGN_OR_RETURN(std::string out,
-                       ExecuteInternal(trimmed, &chain));
+  TCH_ASSIGN_OR_RETURN(std::string out, ExecuteInternal(stmt, &chain));
   // `check` additionally evaluates the defined constraints.
   const DefinitionSet* defs = db_->definitions();
-  if (head == "check" && defs != nullptr && defs->constraints.size() > 0) {
+  if (stmt->kind == Statement::Kind::kCheck && defs != nullptr &&
+      defs->constraints.size() > 0) {
     TCH_RETURN_IF_ERROR(defs->constraints.CheckAll(*db_));
     out += " (and " + std::to_string(defs->constraints.size()) +
            " temporal constraints hold)";
@@ -230,19 +223,18 @@ Result<std::string> ActiveDatabase::Execute(std::string_view statement) {
 }
 
 Result<std::string> ActiveDatabase::ExecuteInternal(
-    std::string_view statement, std::vector<std::string>* chain) {
+    Statement* stmt, std::vector<std::string>* chain) {
   if (chain->size() > max_depth_) {
     std::string path = Join(*chain, " -> ");
     return Status::FailedPrecondition(
         "trigger cascade exceeded depth " + std::to_string(max_depth_) +
         " (non-terminating rule set? chain: " + path + ")");
   }
-  TCH_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(statement));
-  TCH_ASSIGN_OR_RETURN(std::string out, interp_.ExecuteStatement(&stmt));
+  TCH_ASSIGN_OR_RETURN(std::string out, interp_.ExecuteStatement(stmt));
 
   // Derive the event (if any) from the executed statement.
   Event event;
-  switch (stmt.kind) {
+  switch (stmt->kind) {
     case Statement::Kind::kCreate: {
       event.kind = TriggerEvent::kCreate;
       // CREATE's output is the new oid ("i<n>").
@@ -251,16 +243,16 @@ Result<std::string> ActiveDatabase::ExecuteInternal(
     }
     case Statement::Kind::kUpdate:
       event.kind = TriggerEvent::kUpdate;
-      event.subject = stmt.update->oid;
-      event.attr = stmt.update->attr;
+      event.subject = stmt->update->oid;
+      event.attr = stmt->update->attr;
       break;
     case Statement::Kind::kMigrate:
       event.kind = TriggerEvent::kMigrate;
-      event.subject = stmt.migrate->oid;
+      event.subject = stmt->migrate->oid;
       break;
     case Statement::Kind::kDelete:
       event.kind = TriggerEvent::kDelete;
-      event.subject = stmt.del->oid;
+      event.subject = stmt->del->oid;
       break;
     default:
       return out;  // queries and clock ops fire nothing
@@ -285,7 +277,9 @@ Status ActiveDatabase::Fire(const Event& event,
       action.replace(pos, 5, self);
     }
     chain->push_back(t.name);
-    Result<std::string> r = ExecuteInternal(action, chain);
+    Result<Statement> parsed = ParseStatement(action);
+    Result<std::string> r =
+        parsed.ok() ? ExecuteInternal(&*parsed, chain) : parsed.status();
     chain->pop_back();
     if (!r.ok()) {
       // A cascade-depth error already names the whole chain; propagate it

@@ -76,8 +76,7 @@ class ActiveDatabase {
   Database& db() { return *db_; }
   const Database& db() const { return *db_; }
 
-  // Add to / remove from the database's definition set.
-  Status DefineTrigger(std::string_view text);
+  // Removes a trigger from the database's definition set (Define adds).
   Status DropTrigger(std::string_view name);
   std::vector<std::string> TriggerNames() const;
 
@@ -89,8 +88,9 @@ class ActiveDatabase {
   //   trigger NAME on EVENT [of CLASS[.ATTR]] do <stmt>
   //   constraint NAME on CLASS (always|sometime) <expr>
   //   constraint NAME on CLASS (nondecreasing|immutable) ATTR
-  // Any other statement is InvalidArgument. Returns the acknowledgement
-  // ("trigger NAME defined").
+  // Any other statement is InvalidArgument. The definition is stored in
+  // its canonical one-line text (Statement::text). Returns the
+  // acknowledgement ("trigger NAME defined").
   Result<std::string> Define(std::string_view statement);
 
   // Executes a statement; on a successful mutation, fires matching
@@ -99,6 +99,9 @@ class ActiveDatabase {
   // (see Define) and extends `check` to also evaluate every defined
   // constraint.
   Result<std::string> Execute(std::string_view statement);
+  // The same for an already-parsed statement (the engine's write path
+  // parses once and may execute the parse more than once).
+  Result<std::string> Execute(Statement* stmt);
 
   // Trigger firings since construction (diagnostics / benchmarks).
   size_t fired_count() const { return fired_; }
@@ -117,8 +120,10 @@ class ActiveDatabase {
   // Runs all matching triggers for `event`; `chain` carries the firing
   // path for the termination diagnostic.
   Status Fire(const Event& event, std::vector<std::string>* chain);
-  Result<std::string> ExecuteInternal(std::string_view statement,
+  Result<std::string> ExecuteInternal(Statement* stmt,
                                       std::vector<std::string>* chain);
+  // Installs a parsed kTrigger / kConstraint statement.
+  Result<std::string> Define(const Statement& stmt);
 
   Database* db_;
   Interpreter interp_;

@@ -3,7 +3,12 @@
 // Section 6.1) and evaluator/interpreter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <filesystem>
+#include <fstream>
 #include <random>
+#include <sstream>
 
 #include "core/db/database.h"
 #include "query/interpreter.h"
@@ -376,6 +381,200 @@ TEST_F(QueryEndToEndTest, BuiltinFunctions) {
       Run("select lifespan(x) from x in team").value(), "[t50,tnow]");
 }
 
+// --- statement kinds: the routing table and the peek ----------------------
+
+// True when the engine would journal `text`, decided by the peek the
+// server's admission check uses.
+bool PeeksJournaled(std::string_view text) {
+  Result<Statement::Kind> kind = PeekStatementKind(text);
+  return kind.ok() && TraitsOf(*kind).journaled;
+}
+
+bool PeeksExclusive(std::string_view text) {
+  Result<Statement::Kind> kind = PeekStatementKind(text);
+  return kind.ok() && TraitsOf(*kind).exclusive;
+}
+
+TEST(StatementKindTest, TraitsTableReproducesTheRoutingLists) {
+  using Kind = Statement::Kind;
+  const std::vector<Kind> reads = {Kind::kSelect, Kind::kSnapshot,
+                                   Kind::kHistory, Kind::kWhen,
+                                   Kind::kShow,   Kind::kExplain};
+  const std::vector<Kind> exclusive = {Kind::kDefineClass, Kind::kDropClass,
+                                       Kind::kCreateIndex, Kind::kDropIndex,
+                                       Kind::kTrigger,     Kind::kConstraint};
+  const std::vector<Kind> plain_writes = {Kind::kCreate, Kind::kUpdate,
+                                          Kind::kMigrate, Kind::kDelete,
+                                          Kind::kTick,   Kind::kAdvance};
+  auto in = [](const std::vector<Kind>& v, Kind k) {
+    return std::find(v.begin(), v.end(), k) != v.end();
+  };
+  for (int i = 0; i <= static_cast<int>(Kind::kConstraint); ++i) {
+    const Kind k = static_cast<Kind>(i);
+    SCOPED_TRACE(i);
+    EXPECT_EQ(TraitsOf(k).read, in(reads, k));
+    EXPECT_EQ(TraitsOf(k).exclusive, in(exclusive, k));
+    EXPECT_EQ(TraitsOf(k).journaled,
+              in(exclusive, k) || in(plain_writes, k));
+  }
+  // `check` runs on the write path (ActiveDatabase adds the constraints)
+  // and is never journaled.
+  EXPECT_FALSE(TraitsOf(Kind::kCheck).read);
+  EXPECT_FALSE(TraitsOf(Kind::kCheck).journaled);
+}
+
+TEST(StatementKindTest, PeekIsTokenExact) {
+  EXPECT_TRUE(PeeksJournaled("delete i1"));
+  EXPECT_TRUE(PeeksJournaled("  Update i1 set a = 1"));
+  EXPECT_TRUE(PeeksJournaled("tick"));
+  EXPECT_TRUE(PeeksJournaled("-- raise\nupdate i1 set a = 2"));
+  EXPECT_TRUE(PeeksJournaled("update i1\n  set a = 2"));
+  // Index DDL journals like any other mutation, and needs the exclusive
+  // writer (its build scans every object shard).
+  EXPECT_TRUE(PeeksJournaled("create index iv on item (v)"));
+  EXPECT_TRUE(PeeksExclusive("create index iv on item (v)"));
+  EXPECT_TRUE(PeeksExclusive("  CREATE index iv on item lifespan"));
+  EXPECT_TRUE(PeeksExclusive("drop index iv"));
+  // An object of a class named `index` is a plain create.
+  EXPECT_TRUE(PeeksJournaled("create index (v: 1)"));
+  EXPECT_FALSE(PeeksExclusive("create index (v: 1)"));
+  // Trigger and constraint definitions are schema changes.
+  EXPECT_TRUE(PeeksExclusive("trigger t on create do tick"));
+  EXPECT_TRUE(PeeksExclusive("  TRIGGER t on create do tick"));
+  EXPECT_TRUE(PeeksJournaled("  Constraint c on emp always x.v > 0"));
+  EXPECT_TRUE(PeeksExclusive("-- c\ntrigger t on create do tick"));
+  // Prefix look-alikes start no statement at all.
+  EXPECT_FALSE(PeeksJournaled("deletion_report from x in c"));
+  EXPECT_FALSE(PeeksJournaled("ticket from x in c"));
+  EXPECT_FALSE(PeeksJournaled("updates from x in c"));
+  EXPECT_FALSE(PeeksJournaled("created from x in c"));
+  EXPECT_FALSE(PeeksJournaled("triggers t on create do tick"));
+  EXPECT_FALSE(PeeksJournaled(""));
+  EXPECT_FALSE(PeeksJournaled("   "));
+  EXPECT_FALSE(PeeksJournaled("-- only a comment"));
+  EXPECT_FALSE(PeeksJournaled("select x from x in c"));
+  EXPECT_FALSE(PeeksJournaled("-- c\nselect x from x in c"));
+  EXPECT_FALSE(PeeksJournaled("check"));
+  // The peek reads three tokens; what follows is never lexed.
+  EXPECT_TRUE(PeeksJournaled("update i1 set $ ' unterminated"));
+}
+
+// Every double-quoted C++ string literal in `path` (adjacent literals
+// concatenated, the common escapes decoded; raw strings skipped).
+std::vector<std::string> StringLiterals(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string src = buffer.str();
+  std::vector<std::string> out;
+  bool joinable = false;  // only whitespace since the last literal
+  for (size_t i = 0; i < src.size(); ++i) {
+    const char c = src[i];
+    if (c == '/' && i + 1 < src.size() && src[i + 1] == '/') {
+      i = src.find('\n', i);
+      if (i == std::string::npos) break;
+      continue;
+    }
+    if (c == '\'') {  // a char literal such as '"'
+      i = src.find('\'', i + (src[i + 1] == '\\' ? 3 : 2));
+      if (i == std::string::npos) break;
+      joinable = false;
+      continue;
+    }
+    if (c == '"' && i > 0 && src[i - 1] == 'R') {
+      i = src.find(")\"", i);
+      if (i == std::string::npos) break;
+      ++i;
+      joinable = false;
+      continue;
+    }
+    if (c != '"') {
+      if (!std::isspace(static_cast<unsigned char>(c))) joinable = false;
+      continue;
+    }
+    std::string lit;
+    for (++i; i < src.size() && src[i] != '"'; ++i) {
+      if (src[i] != '\\' || i + 1 >= src.size()) {
+        lit.push_back(src[i]);
+        continue;
+      }
+      const char e = src[++i];
+      lit.push_back(e == 'n' ? '\n' : e == 't' ? '\t' : e);
+    }
+    if (joinable && !out.empty()) {
+      out.back() += lit;
+    } else {
+      out.push_back(lit);
+    }
+    joinable = true;
+  }
+  return out;
+}
+
+// For every statement of the example scripts and programs and of the TQL
+// in the query, VM and concurrency tests, the peek's kind is the parse's.
+TEST(StatementKindTest, PeekAgreesWithParseOnEveryScriptStatement) {
+  const std::filesystem::path root = TCHIMERA_SOURCE_DIR;
+  std::vector<std::string> texts;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(root / "examples" / "tql")) {
+    std::ifstream in(entry.path());
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    texts.push_back(buffer.str());
+  }
+  std::vector<std::filesystem::path> sources = {
+      root / "tests" / "query_test.cc", root / "tests" / "vm_test.cc",
+      root / "tests" / "concurrency_test.cc"};
+  for (const auto& entry : std::filesystem::directory_iterator(root /
+                                                               "examples")) {
+    if (entry.path().extension() == ".cpp") sources.push_back(entry.path());
+  }
+  for (const auto& source : sources) {
+    for (std::string& lit : StringLiterals(source.string())) {
+      texts.push_back(std::move(lit));
+    }
+  }
+  size_t checked = 0;
+  for (const std::string& text : texts) {
+    Result<std::vector<Statement>> script = ParseScript(text);
+    if (!script.ok()) continue;  // not TQL, or deliberately broken
+    for (const Statement& stmt : *script) {
+      Result<Statement::Kind> peeked = PeekStatementKind(stmt.text);
+      ASSERT_TRUE(peeked.ok()) << stmt.text << ": " << peeked.status();
+      EXPECT_EQ(*peeked, stmt.kind) << stmt.text;
+      Result<Statement> alone = ParseStatement(stmt.text);
+      ASSERT_TRUE(alone.ok()) << stmt.text << ": " << alone.status();
+      EXPECT_EQ(alone->kind, stmt.kind) << stmt.text;
+      EXPECT_EQ(alone->text, stmt.text);
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 300u);
+}
+
+// Comments and newlines are whitespace; the canonical text drops the one
+// and writes a literal's raw newline as an escape.
+TEST(StatementKindTest, CanonicalTextIsOneLine) {
+  Result<Statement> stmt = ParseStatement(
+      "-- lead\n  update i1\n\tset note =  'a\nb' -- trail\n during [1,2] ;");
+  ASSERT_TRUE(stmt.ok()) << stmt.status();
+  EXPECT_EQ(stmt->kind, Statement::Kind::kUpdate);
+  EXPECT_EQ(stmt->text, "update i1 set note = 'a\\nb' during [1,2] ;");
+  Result<Statement> again = ParseStatement(stmt->text);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->text, stmt->text);
+  EXPECT_EQ(again->update->value->literal.AsString(), "a\nb");
+  // A definition keeps its own grammar: the parse only finds its extent.
+  Result<Statement> def = ParseStatement(
+      "trigger t\n  on update of emp.salary -- audit\n  do update $self "
+      "set v = 1");
+  ASSERT_TRUE(def.ok()) << def.status();
+  EXPECT_EQ(def->kind, Statement::Kind::kTrigger);
+  EXPECT_EQ(def->text,
+            "trigger t on update of emp.salary do update $self set v = 1");
+}
+
 class ParserFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ParserFuzzTest, RandomTokenSoupNeverCrashes) {
@@ -402,7 +601,11 @@ TEST_P(ParserFuzzTest, RandomTokenSoupNeverCrashes) {
       soup += ' ';
     }
     Result<Statement> r = ParseStatement(soup);  // ok or error, no crash
-    (void)r;
+    if (r.ok()) {
+      Result<Statement::Kind> peeked = PeekStatementKind(soup);
+      ASSERT_TRUE(peeked.ok()) << soup << ": " << peeked.status();
+      EXPECT_EQ(*peeked, r->kind) << soup;
+    }
     Result<std::vector<Statement>> rs = ParseScript(soup);
     (void)rs;
   }

@@ -124,43 +124,55 @@ size_t MatchPrefix(const std::vector<std::string>& refs,
   return std::string::npos;
 }
 
-struct WorkloadRun {
-  // Statements acknowledged (Execute returned OK, so the record is on
-  // disk per the sync policy).
-  size_t committed = 0;
-};
-
-// Runs the workload through a JournaledDatabase on `ffs`, checkpointing
-// once mid-way. Stops at the first failure (the injected crash).
-WorkloadRun RunWorkload(FaultInjectionFileSystem* ffs,
+// Runs `statements` through the production writer over `ffs` — sessions
+// on an Engine whose commits group-commit to the journal — checkpointing
+// once before statement `checkpoint_before`, the way the REPL and server
+// do. Stops at the first failure (the injected crash). Returns how many
+// statements were acknowledged: the group commit synced each one before
+// releasing its session, so each is durable.
+size_t RunThroughEngine(FaultInjectionFileSystem* ffs,
                         const std::string& snapshot_path,
                         const std::string& journal_path,
-                        SyncPolicy sync = SyncPolicy::kEveryAppend) {
-  WorkloadRun run;
+                        const std::vector<std::string>& statements,
+                        size_t checkpoint_before) {
+  Engine engine;
+  GroupCommitJournal sink;
   JournalOptions options;
   options.fs = ffs;
-  options.sync = sync;
-  JournaledDatabase jdb(journal_path, options);
-  if (!jdb.status().ok()) return run;
-  const std::vector<std::string>& statements = Workload();
+  if (!sink.Open(journal_path, options).ok()) return 0;
+  engine.set_commit_sink(&sink);
+  Session session = engine.OpenSession();
+  size_t committed = 0;
   for (size_t i = 0; i < statements.size(); ++i) {
-    if (i == kCheckpointBefore) {
+    if (i == checkpoint_before) {
       // A checkpoint killed by the injected crash is not fatal here; the
-      // next append fails and ends the run.
-      (void)RecoveryManager::Checkpoint(jdb.db(), &jdb.journal(),
-                                        snapshot_path, ffs);
+      // next commit fails and ends the run.
+      (void)engine.WithExclusive([&](Database& live) {
+        return sink.WithQuiesced([&](Journal& journal) {
+          return RecoveryManager::Checkpoint(live, &journal, snapshot_path,
+                                             ffs);
+        });
+      });
     }
-    if (!jdb.Execute(statements[i]).ok()) break;
-    ++run.committed;
+    if (!session.Execute(statements[i]).ok()) break;
+    ++committed;
   }
-  return run;
+  sink.Close();
+  return committed;
+}
+
+size_t RunWorkload(FaultInjectionFileSystem* ffs,
+                   const std::string& snapshot_path,
+                   const std::string& journal_path) {
+  return RunThroughEngine(ffs, snapshot_path, journal_path, Workload(),
+                          kCheckpointBefore);
 }
 
 // The tentpole proof obligation: crash at every single mutating I/O
 // operation of the workload (with three torn-write shapes each) and the
 // recovered database must (a) pass the full consistency audit and (b) be
 // byte-identical to a committed prefix — at least everything that was
-// acknowledged under kEveryAppend, at most one in-flight statement more.
+// acknowledged, at most one in-flight statement more.
 TEST(CrashRecoveryTest, EveryCrashPointRestoresACommittedPrefix) {
   const std::vector<std::string> refs = BuildReferenceStates();
   ASSERT_EQ(refs.size(), Workload().size() + 1);
@@ -169,9 +181,8 @@ TEST(CrashRecoveryTest, EveryCrashPointRestoresACommittedPrefix) {
   {
     std::string dir = FreshDir("dry");
     FaultInjectionFileSystem ffs(FileSystem::Default());
-    WorkloadRun run =
-        RunWorkload(&ffs, dir + "/snap.tchdb", dir + "/journal.tql");
-    ASSERT_EQ(run.committed, Workload().size());
+    ASSERT_EQ(RunWorkload(&ffs, dir + "/snap.tchdb", dir + "/journal.tql"),
+              Workload().size());
     total_ops = ffs.ops_seen();
   }
   ASSERT_GT(total_ops, 20u) << "fault plumbing sees too few operations";
@@ -189,7 +200,7 @@ TEST(CrashRecoveryTest, EveryCrashPointRestoresACommittedPrefix) {
       plan.at_op = at;
       plan.surviving_tail_bytes = tail;
       ffs.SetPlan(plan);
-      WorkloadRun run = RunWorkload(&ffs, snap, journal);
+      size_t committed = RunWorkload(&ffs, snap, journal);
       ASSERT_TRUE(ffs.crashed());
 
       // "Reboot": the fault is gone, the surviving bytes are what they are.
@@ -207,11 +218,11 @@ TEST(CrashRecoveryTest, EveryCrashPointRestoresACommittedPrefix) {
       size_t n = MatchPrefix(refs, *state);
       ASSERT_NE(n, std::string::npos)
           << "recovered state matches no committed prefix";
-      // kEveryAppend: acknowledged == durable, so nothing acknowledged may
-      // be lost; at most the single in-flight statement may additionally
-      // survive (a torn write that happened to complete).
-      EXPECT_GE(n, run.committed);
-      EXPECT_LE(n, run.committed + 1);
+      // Acknowledged == durable, so nothing acknowledged may be lost; at
+      // most the single in-flight statement may additionally survive (a
+      // torn write that happened to complete).
+      EXPECT_GE(n, committed);
+      EXPECT_LE(n, committed + 1);
     }
   }
 }
@@ -257,20 +268,7 @@ TEST(CrashRecoveryTest, EveryCrashPointLeavesIndexesConsistentWithObjects) {
   auto run_workload = [&](FaultInjectionFileSystem* ffs,
                           const std::string& snap,
                           const std::string& journal) {
-    size_t committed = 0;
-    JournalOptions options;
-    options.fs = ffs;
-    JournaledDatabase jdb(journal, options);
-    if (!jdb.status().ok()) return committed;
-    for (size_t i = 0; i < workload.size(); ++i) {
-      if (i == kCheckpointAt) {
-        (void)RecoveryManager::Checkpoint(jdb.db(), &jdb.journal(), snap,
-                                          ffs);
-      }
-      if (!jdb.Execute(workload[i]).ok()) break;
-      ++committed;
-    }
-    return committed;
+    return RunThroughEngine(ffs, snap, journal, workload, kCheckpointAt);
   };
 
   uint64_t total_ops = 0;
@@ -328,97 +326,77 @@ TEST(CrashRecoveryTest, EveryCrashPointLeavesIndexesConsistentWithObjects) {
   }
 }
 
-// Under SyncPolicy::kNone there is no durability floor, but recovery must
-// still land on *some* clean prefix — never a torn half-statement, never
-// an audit failure.
-TEST(CrashRecoveryTest, SyncPolicyNoneStillRecoversToSomePrefix) {
+// Group commit appends a whole batch before its one fdatasync, so a crash
+// inside a batch loses an unsynced suffix. Recovery must still land on a
+// clean prefix — never a torn half-statement, never an audit failure —
+// that keeps every acknowledged batch. The sink is driven directly, the
+// way concurrent sessions fill one batch: the first batch is awaited
+// (acknowledged), the rest is enqueued and awaited as a second batch.
+TEST(CrashRecoveryTest, EveryCrashPointInAGroupCommitBatchKeepsAPrefix) {
   const std::vector<std::string> refs = BuildReferenceStates();
+  constexpr size_t kFirstBatch = 4;
+  struct BatchRun {
+    size_t acknowledged = 0;
+    size_t enqueued = 0;
+  };
+  auto run = [](FaultInjectionFileSystem* ffs, const std::string& journal) {
+    BatchRun out;
+    GroupCommitJournal sink;
+    JournalOptions options;
+    options.fs = ffs;
+    if (!sink.Open(journal, options).ok()) return out;
+    CommitSink::Ticket last;
+    for (size_t i = 0; i < Workload().size(); ++i) {
+      last = sink.Enqueue(Workload()[i]);
+      if (last.seq == 0) break;
+      out.enqueued = i + 1;
+      if (out.enqueued == kFirstBatch || out.enqueued == Workload().size()) {
+        if (!sink.Await(last).ok()) break;
+        out.acknowledged = out.enqueued;
+      }
+    }
+    sink.Close();
+    return out;
+  };
 
   uint64_t total_ops = 0;
   {
-    std::string dir = FreshDir("none_dry");
+    std::string dir = FreshDir("batch_dry");
     FaultInjectionFileSystem ffs(FileSystem::Default());
-    WorkloadRun run = RunWorkload(&ffs, dir + "/snap.tchdb",
-                                  dir + "/journal.tql", SyncPolicy::kNone);
-    ASSERT_EQ(run.committed, Workload().size());
+    BatchRun dry = run(&ffs, dir + "/journal.tql");
+    ASSERT_EQ(dry.acknowledged, Workload().size());
     total_ops = ffs.ops_seen();
   }
 
-  for (uint64_t at = 0; at < total_ops; ++at) {
-    SCOPED_TRACE("crash at op " + std::to_string(at));
-    std::string dir = FreshDir("none_crash");
-    std::string snap = dir + "/snap.tchdb";
-    std::string journal = dir + "/journal.tql";
-    FaultInjectionFileSystem ffs(FileSystem::Default());
-    FaultPlan plan;
-    plan.mode = FaultPlan::Mode::kCrash;
-    plan.at_op = at;
-    plan.surviving_tail_bytes = 9;  // a torn fragment of the lost tail
-    ffs.SetPlan(plan);
-    WorkloadRun run = RunWorkload(&ffs, snap, journal, SyncPolicy::kNone);
-    ffs.ClearPlan();
+  for (uint64_t tail : {uint64_t{0}, uint64_t{9}}) {
+    for (uint64_t at = 0; at < total_ops; ++at) {
+      SCOPED_TRACE("crash at op " + std::to_string(at) + ", surviving tail " +
+                   std::to_string(tail));
+      std::string dir = FreshDir("batch_crash");
+      std::string journal = dir + "/journal.tql";
+      FaultInjectionFileSystem ffs(FileSystem::Default());
+      FaultPlan plan;
+      plan.mode = FaultPlan::Mode::kCrash;
+      plan.at_op = at;
+      plan.surviving_tail_bytes = tail;
+      ffs.SetPlan(plan);
+      BatchRun crashed = run(&ffs, journal);
+      ffs.ClearPlan();
 
-    RecoveryOptions options;
-    options.audit = AuditMode::kFail;
-    options.fs = &ffs;
-    RecoveryManager manager(snap, journal, options);
-    auto recovered = manager.Recover(nullptr);
-    ASSERT_TRUE(recovered.ok()) << recovered.status();
-    auto state = SaveDatabaseToString(**recovered, 0);
-    ASSERT_TRUE(state.ok());
-    size_t n = MatchPrefix(refs, *state);
-    ASSERT_NE(n, std::string::npos);
-    EXPECT_LE(n, run.committed + 1);
-  }
-}
-
-// kBatched in between: a crash loses at most the records appended since
-// the last batch sync, and the survivors form a clean record boundary.
-TEST(SyncPolicyTest, BatchedSyncLosesAtMostTheUnsyncedSuffix) {
-  std::string dir = FreshDir("batched");
-  std::string path = dir + "/journal.tql";
-  FaultInjectionFileSystem ffs(FileSystem::Default());
-  JournalOptions options;
-  options.fs = &ffs;
-  options.sync = SyncPolicy::kBatched;
-  options.batch_size = 4;
-
-  uint64_t ops_through_appends = 0;
-  {
-    Journal journal;
-    ASSERT_TRUE(journal.Open(path, options).ok());
-    for (int i = 1; i <= 6; ++i) {
-      ASSERT_TRUE(journal.Append("tick " + std::to_string(i)).ok());
+      RecoveryOptions options;
+      options.audit = AuditMode::kFail;
+      options.fs = &ffs;
+      RecoveryManager manager(dir + "/snap.tchdb", journal, options);
+      auto recovered = manager.Recover(nullptr);
+      ASSERT_TRUE(recovered.ok()) << recovered.status();
+      auto state = SaveDatabaseToString(**recovered, 0);
+      ASSERT_TRUE(state.ok());
+      size_t n = MatchPrefix(refs, *state);
+      ASSERT_NE(n, std::string::npos);
+      EXPECT_GE(n, crashed.acknowledged);
+      EXPECT_LE(n, crashed.enqueued);
     }
-    ops_through_appends = ffs.ops_seen();  // before Close() syncs the rest
-    journal.Close();
   }
-
-  // Re-run, crashing on the 6th append: records 1-4 were synced by the
-  // batch, record 5 is unsynced, record 6 is in flight — 4 must survive.
-  std::string dir2 = FreshDir("batched_crash");
-  std::string path2 = dir2 + "/journal.tql";
-  FaultPlan plan;
-  plan.mode = FaultPlan::Mode::kCrash;
-  plan.at_op = ops_through_appends - 1;
-  ffs.SetPlan(plan);
-  {
-    Journal journal;
-    ASSERT_TRUE(journal.Open(path2, options).ok());
-    for (int i = 1; i <= 6; ++i) {
-      Status s = journal.Append("tick " + std::to_string(i));
-      if (!s.ok()) break;
-    }
-    journal.Close();
-  }
-  ASSERT_TRUE(ffs.crashed());
-  ffs.ClearPlan();
-
-  auto scan = ScanJournal(path2);
-  ASSERT_TRUE(scan.ok());
-  EXPECT_TRUE(scan->tail_error.ok()) << scan->tail_error;
-  ASSERT_EQ(scan->statements.size(), 4u);
-  EXPECT_EQ(scan->statements[3], "tick 4");
 }
 
 // The snapshot write is atomic: a crash at any of its operations leaves
@@ -803,6 +781,82 @@ TEST(RecoveryTest, CheckpointedTriggerFiresOnJournaledCreate) {
   ASSERT_TRUE(session.Execute("create emp (v: 1)").ok());
   sink.Close();
   ExpectRecoversToLiveState(dir, &engine);
+}
+
+// --- the statement text the journal receives ------------------------------
+
+// The engine's writer over a fresh directory's journal.
+struct JournaledEngine {
+  explicit JournaledEngine(const std::string& dir) : dir(dir) {
+    EXPECT_TRUE(sink.Open(dir + "/journal.tql").ok());
+    engine.set_commit_sink(&sink);
+  }
+  ~JournaledEngine() { sink.Close(); }
+
+  // Recover() over the directory reproduces the live state.
+  void ExpectRecoversToLiveState() {
+    RecoveryManager manager(dir + "/snapshot.tchdb", dir + "/journal.tql");
+    auto recovered = manager.Recover(nullptr);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    EXPECT_EQ(DatabaseStateHash(**recovered).value(),
+              DatabaseStateHash(engine.OpenSnapshot().db()).value());
+  }
+
+  std::string dir;
+  Engine engine;
+  GroupCommitJournal sink;
+  Session session = engine.OpenSession();
+};
+
+// A comment before the verb is whitespace to the lexer, so these are
+// writes like any other: journaled, and recovered.
+TEST(RecoveryTest, CommentPrefixedWritesAreJournaled) {
+  JournaledEngine w(FreshDir("comment_prefixed"));
+  for (const char* stmt : {
+           "-- schema\ndefine class item attributes salary: "
+           "temporal(integer) end",
+           "-- hire\ncreate item (salary: 1)",
+           "-- raise\nupdate i1 set salary = 2",
+           "  -- time passes\n  tick 3",
+           "-- a read on the read path\nselect x.salary from x in item",
+       }) {
+    Result<std::string> r = w.session.Execute(stmt);
+    ASSERT_TRUE(r.ok()) << stmt << ": " << r.status();
+  }
+  EXPECT_EQ(w.sink.durable(), 4u);  // the select is not journaled
+  w.sink.Close();
+  Result<JournalScan> scan = ScanJournal(w.dir + "/journal.tql");
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  ASSERT_EQ(scan->statements.size(), 4u);
+  EXPECT_EQ(scan->statements[2], "update i1 set salary = 2");
+  w.ExpectRecoversToLiveState();
+}
+
+// Newlines are whitespace too: a multi-line write is journaled as its
+// one-line canonical text and leaves the journal healthy for the next.
+TEST(RecoveryTest, MultiLineWriteIsJournaledAsOneLine) {
+  JournaledEngine w(FreshDir("multi_line"));
+  ASSERT_TRUE(w.session
+                  .Execute("define class item attributes salary: "
+                           "temporal(integer), note: string end")
+                  .ok());
+  ASSERT_TRUE(w.session.Execute("create item (salary: 1, note: 'a')").ok());
+  for (const char* stmt : {
+           "update i1\n  set salary = 2",
+           "update i1 set note = 'two\nlines'  -- a raw newline in a literal",
+           "update i1 set salary = 3",
+           "create item (salary: 4, note: 'b')",
+       }) {
+    Result<std::string> r = w.session.Execute(stmt);
+    ASSERT_TRUE(r.ok()) << stmt << ": " << r.status();
+  }
+  w.sink.Close();
+  Result<JournalScan> scan = ScanJournal(w.dir + "/journal.tql");
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  ASSERT_EQ(scan->statements.size(), 6u);
+  EXPECT_EQ(scan->statements[2], "update i1 set salary = 2");
+  EXPECT_EQ(scan->statements[3], "update i1 set note = 'two\\nlines'");
+  w.ExpectRecoversToLiveState();
 }
 
 }  // namespace

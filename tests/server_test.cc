@@ -360,6 +360,81 @@ TEST(ServerTest, CommitBacklogShedsWritesButServesReads) {
   EXPECT_TRUE(c.Execute("update i1 set v = 2").ok());
 }
 
+// The admission check peeks at the statement's leading tokens, so a
+// comment before the verb does not hide a write from it.
+TEST(ServerTest, CommentPrefixedWriteCountsForCommitBacklog) {
+  std::atomic<uint64_t> backlog{0};
+  ServerOptions options;
+  options.max_commit_backlog = 100;
+  options.commit_backlog = [&backlog] { return backlog.load(); };
+  TestServer t = TestServer::Start(options);
+  Result<std::unique_ptr<Client>> client = t.Connect();
+  ASSERT_TRUE(client.ok());
+  Client& c = **client;
+  ASSERT_TRUE(c.Execute("define class d attributes v: integer end").ok());
+  ASSERT_TRUE(c.Execute("create d (v: 1)").ok());
+
+  backlog.store(101);
+  const uint64_t rejected_before =
+      t.server->stats().admission_rejections.load();
+  Result<std::string> w = c.Execute("-- raise\nupdate i1 set v = 2");
+  ASSERT_FALSE(w.ok());
+  EXPECT_EQ(w.status().code(), StatusCode::kUnavailable);
+  EXPECT_TRUE(c.last_error_retryable());
+  EXPECT_EQ(t.server->stats().admission_rejections.load(),
+            rejected_before + 1);
+  Result<std::string> rd = c.Execute("-- a read\nselect x.v from x in d");
+  ASSERT_TRUE(rd.ok()) << rd.status().ToString();
+  EXPECT_EQ(*rd, "1");
+
+  backlog.store(0);
+  EXPECT_TRUE(c.Execute("-- raise\nupdate i1 set v = 2").ok());
+  EXPECT_EQ(c.Execute("select x.v from x in d").value(), "2");
+}
+
+// A frame whose statement spans lines is legal TQL: it commits, is
+// journaled as one line, and every later write still commits.
+TEST(ServerTest, MultiLineWriteFrameLeavesTheJournalWritable) {
+  const std::string dir = FreshDir("multi_line_frame");
+  const std::string journal = dir + "/journal.tql";
+  Engine engine;
+  GroupCommitJournal sink;
+  ASSERT_TRUE(sink.Open(journal).ok());
+  engine.set_commit_sink(&sink);
+  ServerOptions options;
+  options.port = 0;
+  Server server(&engine, options);
+  ASSERT_TRUE(server.Start().ok());
+  {
+    Result<std::unique_ptr<Client>> client =
+        Client::Connect("127.0.0.1", server.port(), ClientOptions{});
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    Client& c = **client;
+    for (const char* stmt : {
+             "define class d attributes v: integer end",
+             "create d (v: 1)",
+             "update i1\n  set v = 2",
+             "update i1 set v = 3",
+             "create d (v: 4)",
+         }) {
+      Result<std::string> r = c.Execute(stmt);
+      ASSERT_TRUE(r.ok()) << stmt << ": " << r.status().ToString();
+    }
+    EXPECT_EQ(c.Execute("select x.v from x in d").value(), "3\n4");
+  }
+  server.Stop();
+  sink.Close();
+  Result<JournalScan> scan = ScanJournal(journal);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  ASSERT_EQ(scan->statements.size(), 5u);
+  EXPECT_EQ(scan->statements[2], "update i1 set v = 2");
+  RecoveryManager manager(dir + "/snapshot.tchdb", journal);
+  Result<std::unique_ptr<Database>> recovered = manager.Recover(nullptr);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(DatabaseStateHash(**recovered).value(),
+            DatabaseStateHash(engine.OpenSnapshot().db()).value());
+}
+
 // --- retry policy (the refactor the server motivated) ----------------------
 
 TEST(ServerTest, WriteRetryPolicySurfacesConflictWithoutFallback) {

@@ -47,8 +47,8 @@ TEST_F(TriggerTest, Parsing) {
 TEST_F(TriggerTest, CreateTriggerInitializesAttribute) {
   // ECA rule: every new employee gets a starter salary.
   ASSERT_TRUE(active_
-                  ->DefineTrigger("trigger starter on create of employee "
-                                  "do update $self set salary = 30000")
+                  ->Define("trigger starter on create of employee "
+                           "do update $self set salary = 30000")
                   .ok());
   std::string oid = Run("create employee (office: 'A1')").value();
   EXPECT_EQ(active_->fired_count(), 1u);
@@ -58,8 +58,8 @@ TEST_F(TriggerTest, CreateTriggerInitializesAttribute) {
 
 TEST_F(TriggerTest, SubclassClosureAndAttributeFilter) {
   ASSERT_TRUE(active_
-                  ->DefineTrigger("trigger audit on update of "
-                                  "person.name do tick")
+                  ->Define("trigger audit on update of "
+                           "person.name do tick")
                   .ok());
   std::string e = Run("create employee ()").value();
   TimePoint before = db_.now();
@@ -75,7 +75,7 @@ TEST_F(TriggerTest, SubclassClosureAndAttributeFilter) {
 
 TEST_F(TriggerTest, MigrateAndDeleteEvents) {
   ASSERT_TRUE(active_
-                  ->DefineTrigger(
+                  ->Define(
                       "trigger promo on migrate of manager do "
                       "update $self set dependents = 0")
                   .ok());
@@ -93,7 +93,7 @@ TEST_F(TriggerTest, MigrateAndDeleteEvents) {
 
   size_t fired = active_->fired_count();
   ASSERT_TRUE(
-      active_->DefineTrigger("trigger bye on delete do tick").ok());
+      active_->Define("trigger bye on delete do tick").ok());
   ASSERT_TRUE(Run("delete " + e).ok());
   EXPECT_EQ(active_->fired_count(), fired + 1);
 }
@@ -101,12 +101,12 @@ TEST_F(TriggerTest, MigrateAndDeleteEvents) {
 TEST_F(TriggerTest, CascadesRunTransitively) {
   // update salary -> bump birthyear -> (no further match).
   ASSERT_TRUE(active_
-                  ->DefineTrigger(
+                  ->Define(
                       "trigger chain1 on update of employee.salary do "
                       "update $self set birthyear = 2000")
                   .ok());
   ASSERT_TRUE(active_
-                  ->DefineTrigger(
+                  ->Define(
                       "trigger chain2 on update of employee.birthyear do "
                       "update $self set office = 'moved'")
                   .ok());
@@ -119,7 +119,7 @@ TEST_F(TriggerTest, CascadesRunTransitively) {
 TEST_F(TriggerTest, NonTerminatingCascadeIsStopped) {
   // The termination problem the paper flags: a rule that re-fires itself.
   ASSERT_TRUE(active_
-                  ->DefineTrigger(
+                  ->Define(
                       "trigger loop on update of employee.salary do "
                       "update $self set salary = 1")
                   .ok());
@@ -131,12 +131,12 @@ TEST_F(TriggerTest, NonTerminatingCascadeIsStopped) {
 }
 
 TEST_F(TriggerTest, DefinitionValidation) {
-  ASSERT_TRUE(active_->DefineTrigger("trigger a on delete do check").ok());
+  ASSERT_TRUE(active_->Define("trigger a on delete do check").ok());
   EXPECT_FALSE(
-      active_->DefineTrigger("trigger a on delete do check").ok());  // dup
+      active_->Define("trigger a on delete do check").ok());  // dup
   // Unparseable actions are rejected at definition time, not at firing.
   EXPECT_FALSE(active_
-                   ->DefineTrigger("trigger b on delete do bogus stmt")
+                   ->Define("trigger b on delete do bogus stmt")
                    .ok());
   EXPECT_EQ(active_->TriggerNames().size(), 1u);
   EXPECT_TRUE(active_->DropTrigger("a").ok());
@@ -170,7 +170,7 @@ TEST_F(TriggerTest, ExecuteAcceptsDefinitionForms) {
 
 TEST_F(TriggerTest, QueriesFireNothing) {
   ASSERT_TRUE(
-      active_->DefineTrigger("trigger any on update do tick").ok());
+      active_->Define("trigger any on update do tick").ok());
   (void)Run("create employee ()");
   ASSERT_TRUE(Run("select x from x in employee").ok());
   ASSERT_TRUE(Run("show classes").ok());

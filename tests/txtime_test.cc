@@ -7,7 +7,10 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "query/session.h"
+#include "storage/group_commit.h"
 #include "storage/journal.h"
+#include "storage/serializer.h"
 
 namespace tchimera {
 namespace {
@@ -39,8 +42,8 @@ class TxTimeTest : public ::testing::Test {
 
   std::unique_ptr<Database> AsOfTransaction(size_t n) {
     auto db = std::make_unique<Database>();
-    Interpreter interp(db.get());
-    Result<size_t> applied = Journal::ReplayPrefix(path_, &interp, n);
+    ActiveDatabase active(db.get());
+    Result<size_t> applied = Journal::ReplayPrefix(path_, &active, n);
     EXPECT_TRUE(applied.ok()) << applied.status();
     return db;
   }
@@ -85,14 +88,69 @@ TEST_F(TxTimeTest, BitemporalDistinction) {
 
 TEST_F(TxTimeTest, ReplayCountIsExact) {
   Database db;
-  Interpreter interp(&db);
-  EXPECT_EQ(Journal::ReplayPrefix(path_, &interp, 0).value(), 0u);
+  ActiveDatabase active(&db);
+  EXPECT_EQ(Journal::ReplayPrefix(path_, &active, 0).value(), 0u);
   Database db2;
-  Interpreter interp2(&db2);
-  EXPECT_EQ(Journal::ReplayPrefix(path_, &interp2, 3).value(), 3u);
+  ActiveDatabase active2(&db2);
+  EXPECT_EQ(Journal::ReplayPrefix(path_, &active2, 3).value(), 3u);
   Database db3;
-  Interpreter interp3(&db3);
-  EXPECT_EQ(Journal::ReplayPrefix(path_, &interp3, 999).value(), 5u);
+  ActiveDatabase active3(&db3);
+  EXPECT_EQ(Journal::ReplayPrefix(path_, &active3, 999).value(), 5u);
+}
+
+// A journal the engine wrote carries trigger and constraint definitions;
+// prefix replay runs them and fires the triggers, so every prefix
+// reproduces the live state as of that transaction.
+TEST(TxTimeEngineJournalTest, PrefixReplayRunsDefinitionsAndFiresTriggers) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "tchimera_txtime_engine.tql")
+          .string();
+  std::remove(path.c_str());
+  const std::vector<std::string> statements = {
+      "define class emp attributes salary: temporal(integer) end",
+      "trigger t on create of emp do update $self set salary = 7",
+      "constraint pos on emp always x.salary > 0",
+      "create emp (salary: 1)",
+      "tick 2",
+      "update i1 set salary = 9",
+      "check",  // not journaled
+      "create emp (salary: 3)",
+  };
+  std::vector<uint32_t> live_hashes;  // after each journaled statement
+  {
+    Engine engine;
+    GroupCommitJournal sink;
+    ASSERT_TRUE(sink.Open(path).ok());
+    engine.set_commit_sink(&sink);
+    Session session = engine.OpenSession();
+    auto live_hash = [&engine] {
+      return DatabaseStateHash(engine.OpenSnapshot().db()).value();
+    };
+    live_hashes.push_back(live_hash());
+    for (const std::string& statement : statements) {
+      Result<std::string> r = session.Execute(statement);
+      ASSERT_TRUE(r.ok()) << statement << ": " << r.status();
+      if (statement != "check") live_hashes.push_back(live_hash());
+    }
+    // The trigger fired live: the second create's salary became 7.
+    ReadSnapshot snap = engine.OpenSnapshot();
+    EXPECT_EQ(snap.db()
+                  .HStateOf(Oid{2}, snap.db().now())
+                  ->FieldValue("salary")
+                  ->AsInteger(),
+              7);
+    sink.Close();
+  }
+  for (size_t n = 0; n < live_hashes.size(); ++n) {
+    SCOPED_TRACE("prefix " + std::to_string(n));
+    Database db;
+    ActiveDatabase active(&db);
+    Result<size_t> applied = Journal::ReplayPrefix(path, &active, n);
+    ASSERT_TRUE(applied.ok()) << applied.status();
+    EXPECT_EQ(*applied, n);
+    EXPECT_EQ(DatabaseStateHash(db).value(), live_hashes[n]);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

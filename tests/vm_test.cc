@@ -436,6 +436,39 @@ TEST(PlanCacheTest, NormalizePlanKeyUnterminatedLiteral) {
             NormalizePlanKey("select 'a\\' "));
 }
 
+// Identifiers may contain `-`, so `a--b` is one name, not a name and a
+// comment: the key follows the lexer, and two attributes that differ
+// only after `--` get two plans.
+TEST(PlanCacheTest, DashedIdentifiersKeepTheirOwnPlans) {
+  EXPECT_EQ(NormalizePlanKey("select x.a--b from x in c"),
+            "select x.a--b from x in c");
+  EXPECT_NE(NormalizePlanKey("select x.a--b from x in c"),
+            NormalizePlanKey("select x.a--z from x in c"));
+  Engine engine;
+  Session s = engine.OpenSession();
+  ASSERT_TRUE(
+      s.Execute("define class c attributes a--b: integer, a--z: integer end")
+          .ok());
+  ASSERT_TRUE(s.Execute("create c (a--b: 1, a--z: 2)").ok());
+  EXPECT_EQ(s.Execute("select x.a--b from x in c").value(), "1");
+  EXPECT_EQ(s.Execute("select x.a--z from x in c").value(), "2");
+}
+
+// The key is the parse's canonical text, byte for byte.
+TEST(PlanCacheTest, KeyIsTheStatementsCanonicalText) {
+  for (const char* text : {
+           "select x from x in p",
+           "  select   x -- pick\n from x in p ;  ",
+           "select 'a\nb' from x in p",
+           "when i1.v > 0 during [1, 5]",
+       }) {
+    Result<Statement> stmt = ParseStatement(text);
+    ASSERT_TRUE(stmt.ok()) << text << ": " << stmt.status();
+    EXPECT_EQ(NormalizePlanKey(text), stmt->text) << text;
+    EXPECT_EQ(stmt->text.find('\n'), std::string::npos) << text;
+  }
+}
+
 TEST(PlanCacheTest, HitsAndDdlInvalidation) {
   Engine engine;
   Session s = engine.OpenSession();
